@@ -34,10 +34,10 @@ from .linalg import (
     RANK_RTOL,
     DegeneracyError,
     StructuralError,
+    _svd,
     as_cmatrix,
     col_space,
     complement_in_kernel,
-    null_space,
     rank_svd,
     row_space,
 )
@@ -177,24 +177,24 @@ def cohomology(c: GradedComplex, rtol: float = RANK_RTOL, tag: str = "auto") -> 
     """dim H^j and explicit representatives spanning a complement of im d_{j-1} in ker d_j.
 
     Rank decisions use the spectral scale of the whole complex as an absolute
-    floor so that numerically-zero differentials do not contribute rank.
+    floor so that numerically-zero differentials do not contribute rank.  Per
+    degree, one SVD of d_j gives ker d_j and its rank, one SVD of d_{j-1}
+    gives im d_{j-1} and its rank.
     """
     if not verify_complex(c):
         raise StructuralError(f"not a complex: composition defect {c.composition_defect():.3e}")
     floor = complex_scale(c)
     dims, reps, warns = [], [], []
     for j in range(len(c.dims)):
-        dj = c.d(j)
-        dprev = c.d(j - 1)
-        rk_out = rank_svd(dj, rtol, floor)
-        rk_in = rank_svd(dprev, rtol, floor)
+        _, vh, rk_out = _svd(c.d(j), rtol, floor, full_matrices=True)
+        u, _, rk_in = _svd(c.d(j - 1), rtol, floor, full_matrices=False)
         if rk_out.ill_conditioned or rk_in.ill_conditioned:
             warns.append(f"ill-conditioned rank decision at degree {j}")
         hdim = c.dims[j] - rk_out.rank - rk_in.rank
         if hdim < 0:
             raise DegeneracyError(f"negative cohomology dimension at degree {j}")
-        ker = null_space(dj, rtol, floor) if c.dims[j] else np.zeros((0, 0), complex)
-        img = col_space(dprev, rtol, floor)
+        ker = vh[rk_out.rank:, :].conj().T
+        img = u[:, :rk_in.rank]
         comp, ill = complement_in_kernel(ker, img, rtol)
         if ill:
             warns.append(f"ill-conditioned complement at degree {j}")
@@ -208,41 +208,15 @@ def cohomology(c: GradedComplex, rtol: float = RANK_RTOL, tag: str = "auto") -> 
     return Cohomology(tuple(dims), reps, warns, tag)
 
 
-def _n_sign(dims: tuple[int, ...]) -> int:
-    """The integer N(C^*) in the torsion sign (-1)^{N}; normalized to zero here."""
-    return 0
+def _assemble(c: GradedComplex, h: list[np.ndarray], v: list[np.ndarray],
+              coord: complex) -> complex:
+    """coord * prod_j det([d V_{j-1} | H_j | V_j])^{(-1)^{j+1}} in the standard bases.
 
-
-def _assemble_bases(c: GradedComplex, complements) -> list[np.ndarray]:
-    """Complement choices V_j (columns) with d_j injective on V_j, for acyclic c.
-
-    "auto" picks the right singular vectors of d_j belonging to nonzero
-    singular values (the orthogonal complement of ker d_j).
+    h[j] holds cohomology representatives (no columns on acyclic input), v[j]
+    complements of ker d_j.  The one determinant-assembly loop behind both
+    torsion_acyclic and canonical_iso.
     """
-    if complements == "auto":
-        floor = complex_scale(c)
-        return [row_space(c.d(j), floor=floor) for j in range(len(c.dims))]
-    if len(complements) != len(c.dims):
-        raise StructuralError("need one complement block per degree")
-    return [as_cmatrix(v, rows=c.dims[j]) if np.size(v) else
-            np.zeros((c.dims[j], 0), complex) for j, v in enumerate(complements)]
-
-
-def torsion_acyclic(c: GradedComplex, complements="auto",
-                    rtol: float = RANK_RTOL) -> DetLineElement:
-    """Torsion of an acyclic complex: the image of the standard-basis element of
-    Det(C^*) under the canonical identification with Det(H^*) = C.
-
-    The coordinate is prod_j det([d V_{j-1} | V_j])^{(-1)^{j+1}}, independent of
-    the complement choice V_j.
-    """
-    coh = cohomology(c, rtol)
-    if any(coh.dims):
-        raise NotAcyclicError(f"complex is not acyclic: dim H = {coh.dims}")
-    v = _assemble_bases(c, complements)
-    coord = 1.0 + 0.0j
-    for j in range(len(c.dims)):
-        k = c.dims[j]
+    for j, k in enumerate(c.dims):
         if k == 0:
             if v[j].shape[1]:
                 raise StructuralError(f"nonempty complement in zero space at degree {j}")
@@ -250,6 +224,8 @@ def torsion_acyclic(c: GradedComplex, complements="auto",
         cols = []
         if j > 0 and v[j - 1].shape[1]:
             cols.append(c.d(j - 1) @ v[j - 1])
+        if h[j].shape[1]:
+            cols.append(as_cmatrix(h[j], rows=k))
         if v[j].shape[1]:
             cols.append(v[j])
         t = np.hstack(cols) if cols else np.zeros((k, 0), complex)
@@ -261,9 +237,31 @@ def torsion_acyclic(c: GradedComplex, complements="auto",
         if det == 0 or not np.isfinite(det):
             raise DegeneracyError(f"singular basis change at degree {j}")
         coord *= det ** (-1 if j % 2 == 0 else 1)
-    coord *= (-1) ** _n_sign(c.dims)
-    grading = tuple((j, 0) for j in range(len(c.dims)))
-    return DetLineElement(coord, "scalar", grading)
+    return coord
+
+
+def torsion_acyclic(c: GradedComplex, complements="auto",
+                    rtol: float = RANK_RTOL) -> DetLineElement:
+    """Torsion of an acyclic complex: the image of the standard-basis element of
+    Det(C^*) under the canonical identification with Det(H^*) = C.
+
+    The coordinate is prod_j det([d V_{j-1} | V_j])^{(-1)^{j+1}}, independent of
+    the complement choice V_j.  "auto" picks V_j = the row space of d_j (the
+    orthogonal complement of ker d_j); the assembly is canonical_iso's.
+    """
+    coh = cohomology(c, rtol)
+    if any(coh.dims):
+        raise NotAcyclicError(f"complex is not acyclic: dim H = {coh.dims}")
+    if complements == "auto":
+        floor = complex_scale(c)
+        v = [row_space(c.d(j), rtol, floor) for j in range(len(c.dims))]
+    elif len(complements) != len(c.dims):
+        raise StructuralError("need one complement block per degree")
+    else:
+        v = [as_cmatrix(b, rows=c.dims[j]) if np.size(b) else
+             np.zeros((c.dims[j], 0), complex) for j, b in enumerate(complements)]
+    coord = _assemble(c, coh.representatives, v, 1.0 + 0.0j)
+    return DetLineElement(coord, "scalar", tuple((j, 0) for j in range(len(c.dims))))
 
 
 def canonical_iso(c: GradedComplex, coh: Cohomology | None = None,
@@ -272,41 +270,29 @@ def canonical_iso(c: GradedComplex, coh: Cohomology | None = None,
     """Push coordinate * (standard-basis element of Det C^*) to Det(H^*).
 
     Splitting construction: C^j = d V_{j-1} (+) H_j (+) V_j with H_j the given
-    cohomology representatives; the coordinate picks up
-    prod_j det([d V_{j-1} | H_j | V_j])^{(-1)^{j+1}}.  On acyclic input this
-    equals torsion_acyclic.
+    cohomology representatives and V_j the row space of d_j; the coordinate
+    picks up prod_j det([d V_{j-1} | H_j | V_j])^{(-1)^{j+1}}.  One SVD per
+    degree gives V_j and rank d_j, and the ranks fix the dims coh must have.
+    On acyclic input this equals torsion_acyclic, whose assembly it shares.
     """
+    if not verify_complex(c):
+        raise StructuralError(f"not a complex: composition defect {c.composition_defect():.3e}")
+    floor = complex_scale(c)
+    v, ranks = [], []
+    for j in range(len(c.dims)):
+        _, vh, rk = _svd(c.d(j), rtol, floor, full_matrices=False)
+        v.append(vh[:rk.rank, :].conj().T)
+        ranks.append(rk.rank)
     if coh is None:
         coh = cohomology(c, rtol)
-    if coh.dims != cohomology(c, rtol).dims:
+    hdims = tuple(k - r - (ranks[j - 1] if j else 0)
+                  for j, (k, r) in enumerate(zip(c.dims, ranks)))
+    if min(hdims, default=0) < 0:
+        raise DegeneracyError(
+            f"negative cohomology dimension at degree {hdims.index(min(hdims))}")
+    if coh.dims != hdims:
         raise StructuralError("cohomology bases inconsistent with the complex")
-    floor = complex_scale(c)
-    coord = complex(coordinate)
-    for j in range(len(c.dims)):
-        k = c.dims[j]
-        if k == 0:
-            continue
-        cols = []
-        if j > 0:
-            v = row_space(c.d(j - 1), floor=floor)
-            if v.shape[1]:
-                cols.append(c.d(j - 1) @ v)
-        h = coh.representatives[j]
-        if h.shape[1]:
-            cols.append(as_cmatrix(h, rows=k))
-        v = row_space(c.d(j), floor=floor)
-        if v.shape[1]:
-            cols.append(v)
-        t = np.hstack(cols) if cols else np.zeros((k, 0), complex)
-        if t.shape != (k, k):
-            raise DegeneracyError(
-                f"splitting at degree {j} gives shape {t.shape}, expected ({k},{k})"
-            )
-        det = sla.det(t)
-        if det == 0 or not np.isfinite(det):
-            raise DegeneracyError(f"degenerate splitting at degree {j}")
-        coord *= det ** (-1 if j % 2 == 0 else 1)
-    coord *= (-1) ** _n_sign(c.dims)
+    coord = _assemble(c, coh.representatives, v, complex(coordinate))
     return DetLineElement(coord, coh.tag, coh.grading())
 
 

@@ -21,8 +21,7 @@ from .chirality import admissible_lambdas, eta_xi_finite, graded_determinant, \
     odd_signature, rho
 from .cw import (boundary_complex, build_cochain, build_relative,
                  check_sigma_relation, sigma, sigma_boundary, sigma_relative,
-                 tau_section, transmission_split, trivial_representation,
-                 validate_representation)
+                 transmission_split, trivial_representation, validate_representation)
 from .gauge import curvature_residual, gauge_transform, solve_gauge_ode, \
     temporal_residual
 from .holomorphy import ComplexFamily, SectionModel, cr_order, doubled_cochain, \
@@ -90,7 +89,7 @@ def cmd_torsion(args) -> int:
     res = validate_representation(rep, k)
     s = sigma(k, rep)
     s2 = sigma_relative(k, rep)
-    tau = tau_section(k, rep)
+    tau = s.tensor(s2)
     results = {
         "relation_residual": res,
         "sigma": s.coordinate,

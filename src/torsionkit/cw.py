@@ -213,26 +213,7 @@ def build_relative(k: CWData, rho: Representation) -> GradedComplex:
     interior = {cid for cid, _ in k.cells if cid not in k.boundary_subcomplex}
     # quotient differential = full differential restricted to interior slots;
     # correctness needs K' to be a subcomplex, which the constructor enforced.
-    n = rho.rank
-    top = k.top_dim
-    layers = [k.cells_of_dim(j, interior) for j in range(top + 1)]
-    index = [{cid: i for i, cid in enumerate(layer)} for layer in layers]
-    dims = tuple(n * len(layer) for layer in layers)
-    diffs = []
-    for j in range(top):
-        d = np.zeros((dims[j + 1], dims[j]), dtype=np.complex128)
-        for f in layers[j + 1]:
-            fi = index[j + 1][f]
-            for face, inc, w in k.boundary.get(f, []):
-                if inc == 0 or face not in index[j]:
-                    continue
-                ei = index[j][face]
-                d[fi * n:(fi + 1) * n, ei * n:(ei + 1) * n] += inc * rho.evaluate(w)
-        diffs.append(d)
-    out = GradedComplex(dims, diffs)
-    if not verify_complex(out):
-        raise StructuralError("relative twisted boundary does not square to zero")
-    return out
+    return build_cochain(k, rho, subset=interior)
 
 
 def boundary_complex(k: CWData, rho: Representation) -> GradedComplex:

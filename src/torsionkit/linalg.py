@@ -2,8 +2,10 @@
 
 Everything here works on plain complex128 numpy arrays.  Rank decisions use
 singular-value thresholding with a relative tolerance and report a warning
-band; spectral projectors of (possibly non-normal) matrices are computed from
-an ordered complex Schur form, never from raw eigenvectors.
+band.  Each subspace basis and its rank come from one SVD (``_svd``): the
+rank is cut from that decomposition's own singular values.  Spectral
+projectors of (possibly non-normal) matrices are computed from an ordered
+complex Schur form, never from raw eigenvectors.
 """
 
 from __future__ import annotations
@@ -56,6 +58,17 @@ class RankResult:
     ill_conditioned: bool
 
 
+def _rank(s: np.ndarray, rtol: float, floor: float) -> RankResult:
+    """Threshold the singular values s (descending) at rtol * max(s[0], floor)."""
+    smax = s[0] if len(s) else 0.0
+    if max(smax, floor) == 0.0:
+        return RankResult(0, 0.0, s, False)
+    thr = rtol * max(smax, floor)
+    rank = int(np.sum(s > thr))
+    near = np.sum((s > thr / RANK_WARN_BAND) & (s <= thr * RANK_WARN_BAND))
+    return RankResult(rank, thr, s, bool(near))
+
+
 def rank_svd(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0) -> RankResult:
     """Rank by singular-value thresholding at rtol * max(sigma_max, floor).
 
@@ -67,45 +80,41 @@ def rank_svd(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0) -> Rank
     a = as_cmatrix(a)
     if a.size == 0:
         return RankResult(0, 0.0, np.zeros(0), False)
-    s = sla.svdvals(a)
-    smax = s[0] if len(s) else 0.0
-    if max(smax, floor) == 0.0:
-        return RankResult(0, 0.0, s, False)
-    thr = rtol * max(smax, floor)
-    rank = int(np.sum(s > thr))
-    near = np.sum((s > thr / RANK_WARN_BAND) & (s <= thr * RANK_WARN_BAND))
-    return RankResult(rank, thr, s, bool(near))
+    return _rank(sla.svdvals(a), rtol, floor)
+
+
+def _svd(a: np.ndarray, rtol: float, floor: float, full_matrices: bool):
+    """One SVD of a: (u, vh, RankResult), the rank cut from that SVD's singular values.
+
+    Every subspace basis and its rank come from this one decomposition.  An
+    empty or all-zero matrix skips LAPACK: its rank is 0 and u, vh are
+    identities, so the kernel is the whole source space.
+    """
+    a = as_cmatrix(a)
+    m, n = a.shape
+    if a.size == 0 or not np.any(a):
+        return (np.eye(m, dtype=np.complex128), np.eye(n, dtype=np.complex128),
+                _rank(np.zeros(min(m, n)), rtol, floor))
+    u, s, vh = sla.svd(a, full_matrices=full_matrices)
+    return u, vh, _rank(s, rtol, floor)
 
 
 def col_space(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of a."""
-    a = as_cmatrix(a)
-    if a.size == 0 or not np.any(a):
-        return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    u, s, _ = sla.svd(a, full_matrices=False)
-    r = rank_svd(a, rtol, floor).rank
-    return u[:, :r]
+    u, _, rk = _svd(a, rtol, floor, full_matrices=False)
+    return u[:, :rk.rank]
 
 
 def null_space(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of a."""
-    a = as_cmatrix(a)
-    n = a.shape[1]
-    if a.size == 0 or not np.any(a):
-        return np.eye(n, dtype=np.complex128)
-    _, s, vh = sla.svd(a, full_matrices=True)
-    r = rank_svd(a, rtol, floor).rank
-    return vh[r:, :].conj().T
+    _, vh, rk = _svd(a, rtol, floor, full_matrices=True)
+    return vh[rk.rank:, :].conj().T
 
 
 def row_space(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the row space = orthogonal complement of ker(a)."""
-    a = as_cmatrix(a)
-    if a.size == 0 or not np.any(a):
-        return np.zeros((a.shape[1], 0), dtype=np.complex128)
-    _, s, vh = sla.svd(a, full_matrices=False)
-    r = rank_svd(a, rtol, floor).rank
-    return vh[:r, :].conj().T
+    _, vh, rk = _svd(a, rtol, floor, full_matrices=False)
+    return vh[:rk.rank, :].conj().T
 
 
 def complement_in_kernel(ker: np.ndarray, img: np.ndarray,

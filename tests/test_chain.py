@@ -110,6 +110,73 @@ def test_canonical_iso_covariance_exact():
         assert abs(ratio - want) <= 1e-12 * abs(want)
 
 
+def test_canonical_iso_rejects_wrong_cohomology_dims():
+    with pytest.raises(StructuralError):
+        canonical_iso(two_term(0.0), cohomology(two_term(1.0)))
+
+
+def test_canonical_iso_rejects_non_complex_with_given_cohomology():
+    bad = GradedComplex((1, 1, 1), [np.eye(1, dtype=complex), np.eye(1, dtype=complex)])
+    zero = GradedComplex((1, 1, 1), [np.zeros((1, 1), complex), np.zeros((1, 1), complex)])
+    with pytest.raises(StructuralError):
+        canonical_iso(bad, cohomology(zero))
+
+
+def four_degree_complex():
+    """dims (2, 4, 4, 2), ranks (1, 2, 1), one cohomology class in every degree."""
+    rng = np.random.default_rng(5)
+    dims, ranks = (2, 4, 4, 2), (1, 2, 1)
+    std = []
+    for j, r in enumerate(ranks):
+        d = np.zeros((dims[j + 1], dims[j]), complex)
+        d[:r, dims[j] - r:] = np.eye(r)
+        std.append(d)
+    g = [np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+         for n in dims]
+    return GradedComplex(dims, [g[j + 1] @ std[j] @ sla.inv(g[j]) for j in range(3)])
+
+
+def count_svds(monkeypatch):
+    """Record the matrices passed to scipy.linalg.svd and count svdvals calls."""
+    seen = {"svd": [], "svdvals": 0}
+    svd, svdvals = sla.svd, sla.svdvals
+
+    def counting_svd(a, *args, **kwargs):
+        seen["svd"].append(a)
+        return svd(a, *args, **kwargs)
+
+    def counting_svdvals(a, *args, **kwargs):
+        seen["svdvals"] += 1
+        return svdvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "svd", counting_svd)
+    monkeypatch.setattr(sla, "svdvals", counting_svdvals)
+    return seen
+
+
+def test_canonical_iso_one_svd_per_degree(monkeypatch):
+    c = four_degree_complex()
+    coh = cohomology(c)
+    assert coh.dims == (1, 1, 1, 1)
+    seen = count_svds(monkeypatch)
+    canonical_iso(c, coh)
+    # one SVD of each d_j; the top degree's outgoing map is empty and needs none
+    assert [id(a) for a in seen["svd"]] == [id(d) for d in c.differentials]
+    assert seen["svdvals"] == 0
+
+
+def test_cohomology_two_svds_per_degree(monkeypatch):
+    c = four_degree_complex()
+    seen = count_svds(monkeypatch)
+    cohomology(c)
+    # each d_j is decomposed once for ker d_j and once for im d_j; the other
+    # SVDs are complement_in_kernel's, at most one per degree
+    for d in c.differentials:
+        assert sum(a is d for a in seen["svd"]) == 2
+    assert len(seen["svd"]) <= 2 * len(c.differentials) + len(c.dims)
+    assert seen["svdvals"] == 0
+
+
 def test_det_line_element_tag_discipline():
     a = DetLineElement(2.0, "x", ((0, 1),))
     b = DetLineElement(3.0, "y", ((0, 1),))

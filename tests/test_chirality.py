@@ -325,3 +325,8 @@ def test_small_complex_gamma_involution():
     lam = admissible_lambdas(s, 2)[-1]
     sc = small_complex(s, spectral_split(s, lam))
     sc.x.validate()
+
+
+def test_chirality_suite_is_deterministic():
+    from torsionkit.selftest import chirality_suite
+    assert chirality_suite(3, "quick") == chirality_suite(3, "quick")

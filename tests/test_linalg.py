@@ -5,7 +5,7 @@ import scipy.linalg as sla
 from torsionkit.linalg import (AgmonError, StructuralError, as_cmatrix, check_agmon,
                                col_space, complement_in_kernel, det_branch,
                                h_adjoint, invariant_subspace, log_branch,
-                               null_space, rank_svd, spectral_projector)
+                               null_space, rank_svd, row_space, spectral_projector)
 
 from oracles import contour_projector
 
@@ -30,6 +30,30 @@ def test_spaces_consistency():
     assert sla.norm(a @ k) < 1e-12
     c = col_space(a)
     assert c.shape == (4, 4)
+
+
+def test_spaces_take_one_svd_each(monkeypatch):
+    rng = np.random.default_rng(1)
+    a = (rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))) @ \
+        (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
+    calls = []
+    svd = sla.svd
+    monkeypatch.setattr(sla, "svd", lambda m, **kw: calls.append(kw) or svd(m, **kw))
+    monkeypatch.setattr(sla, "svdvals", None)
+    assert col_space(a).shape == (5, 2)
+    assert row_space(a).shape == (4, 2)
+    k = null_space(a)
+    assert k.shape == (4, 2) and sla.norm(a @ k) < 1e-12
+    assert [kw["full_matrices"] for kw in calls] == [False, False, True]
+
+
+def test_spaces_of_zero_matrix_skip_the_svd(monkeypatch):
+    monkeypatch.setattr(sla, "svd", None)
+    z = np.zeros((3, 2), complex)
+    assert np.array_equal(null_space(z), np.eye(2))
+    assert col_space(z).shape == (3, 0)
+    assert row_space(z).shape == (2, 0)
+    assert null_space(np.zeros((0, 3), complex)).shape == (3, 3)
 
 
 def test_complement_in_kernel():
