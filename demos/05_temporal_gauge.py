@@ -1,10 +1,10 @@
 """Gauge-fixing a flat connection into temporal gauge on a collar patch.
 
 Starting from an exactly flat pure-gauge field omega = g^{-1} dg, we solve
-d gamma/dx = -omega_0 gamma per y-line (RK4) and apply the transformation law.
-Afterwards the normal component vanishes and the tangential component is
-x-independent, up to the discretization floor; flatness and the loop monodromy
-conjugacy class are preserved.
+d gamma/dx = -omega_0 gamma on all y-lines at once (RK4) and apply the
+transformation law.  Afterwards the normal component vanishes and the
+tangential component is x-independent, up to the discretization floor;
+flatness and the loop monodromy conjugacy class are preserved.
 """
 
 import numpy as np

@@ -3,7 +3,8 @@
 Commands: torsion, refined, glue, holo, circle, gauge, selftest, validate.
 Exit codes: 0 success, 2 input/schema error, 3 numerical-domain error,
 4 invariant failure.  All numeric output carries 15 significant digits;
-reports are byte-identical for fixed inputs, flags, and seed.
+reports are byte-identical for fixed inputs, flags, and seed at a fixed BLAS
+thread count.
 """
 
 from __future__ import annotations

@@ -122,24 +122,6 @@ class ComplexFamily:
                 raise StructuralError(f"family is not a complex at z = {z}")
 
 
-def polynomial_family(dims, coeff_lists) -> ComplexFamily:
-    """Family with differentials d_j(z) = sum_k coeff_lists[j][k] z^k."""
-    coeff_lists = [[np.asarray(c, dtype=np.complex128) for c in cs] for cs in coeff_lists]
-
-    def build(z: complex) -> GradedComplex:
-        diffs = []
-        for cs in coeff_lists:
-            m = np.zeros_like(cs[0])
-            zp = 1.0 + 0.0j
-            for c in cs:
-                m += zp * c
-                zp *= z
-            diffs.append(m)
-        return GradedComplex(tuple(dims), diffs)
-
-    return ComplexFamily(build)
-
-
 @dataclass
 class SectionModel:
     """Finite model W^*(z) with z-independent chirality and comparison maps I_z.

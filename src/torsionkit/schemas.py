@@ -62,12 +62,13 @@ def parse_matrix(v: Any, where: str) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
+# 15 significant digits; + 0.0 turns -0.0 into 0.0, so a zero prints one way
 def encode_complex(z: complex) -> list[float]:
-    return [float(f"{z.real:.15g}"), float(f"{z.imag:.15g}")]
+    return [float(f"{z.real:.15g}") + 0.0, float(f"{z.imag:.15g}") + 0.0]
 
 
 def encode_real(x: float) -> float:
-    return float(f"{float(x):.15g}")
+    return float(f"{float(x):.15g}") + 0.0
 
 
 def parse_cw(doc: dict) -> CWData:

@@ -488,8 +488,12 @@ def gauge_suite(seed: int, level: str = "quick"):
     xs = np.linspace(-0.5, 0.5, 17)
     ys = np.linspace(0, 1, 5)
     om0 = np.tile(a, (17, 5, 1, 1))
-    fld = gauge.GaugeField(xs, ys, om0, np.zeros_like(om0),
-                           f0=lambda x, y: a, f1=lambda x, y: np.zeros((n, n)))
+
+    def exact(x, y):
+        shape = np.broadcast(x, y).shape + (n, n)
+        return np.broadcast_to(a, shape), np.zeros(shape)
+
+    fld = gauge.GaugeField(xs, ys, om0, np.zeros_like(om0), exact=exact)
     errs = []
     for steps in (1, 2):
         gt = gauge.solve_gauge_ode(fld, steps=steps)

@@ -135,3 +135,51 @@ def gauge_ode_commuting_oracle(f_scalar, a_matrix, x: float, n_quad: int = 20000
     vals = np.array([f_scalar(t) for t in ts])
     integral = np.trapezoid(vals, ts)
     return sla.expm(-integral * a_matrix)
+
+
+def gauge_ode_per_line_oracle(omega0_on_line, xs, ys, steps: int) -> np.ndarray:
+    """gamma(x, y) by scalar RK4 along each y-line separately, x = 0 outward.
+
+    omega0_on_line(x, iy) gives the (n, n) normal component on line iy at x;
+    four evaluations per step, one matrix at a time.
+    """
+    n_x, i0 = xs.size, (xs.size - 1) // 2
+    n = np.asarray(omega0_on_line(xs[i0], 0)).shape[0]
+    gam = np.zeros((n_x, ys.size, n, n), dtype=np.complex128)
+    for iy in range(ys.size):
+        def a(x):
+            return -np.asarray(omega0_on_line(x, iy), dtype=np.complex128)
+
+        gam[i0, iy] = np.eye(n)
+        for direction in (+1, -1):
+            g = np.eye(n, dtype=np.complex128)
+            x = xs[i0]
+            h = direction * float(xs[1] - xs[0]) / steps
+            last = n_x - 1 if direction > 0 else 0
+            for idx in range(i0 + direction, last + direction, direction):
+                for _ in range(steps):
+                    k1 = a(x) @ g
+                    k2 = a(x + h / 2) @ (g + h / 2 * k1)
+                    k3 = a(x + h / 2) @ (g + h / 2 * k2)
+                    k4 = a(x + h) @ (g + h * k3)
+                    g = g + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                    x += h
+                gam[idx, iy] = g
+    return gam
+
+
+def monodromy_per_factor_oracle(omega_at, xs, ys, path, substeps: int) -> np.ndarray:
+    """Ordered product of exp(-(omega0 dx + omega1 dy)), one midpoint factor at a time.
+
+    omega_at(x, y) gives the pair of (n, n) components at one point.
+    """
+    import scipy.linalg as sla
+    out = None
+    for (ix0, iy0), (ix1, iy1) in zip(path, path[1:]):
+        dx = (xs[ix1] - xs[ix0]) / substeps
+        dy = (ys[iy1] - ys[iy0]) / substeps
+        for k in range(substeps):
+            o0, o1 = omega_at(xs[ix0] + (k + 0.5) * dx, ys[iy0] + (k + 0.5) * dy)
+            f = sla.expm(-(o0 * dx + o1 * dy))
+            out = f if out is None else f @ out
+    return out

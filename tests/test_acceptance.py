@@ -229,8 +229,13 @@ def test_criterion_9_temporal_gauge_pipeline():
     xs = np.linspace(-0.5, 0.5, 17)
     ys = np.linspace(0, 1, 5)
     from torsionkit.gauge import GaugeField
+
+    def exact(x, y):
+        shape = np.broadcast(x, y).shape + (2, 2)
+        return np.broadcast_to(a, shape), np.zeros(shape)
+
     fld = GaugeField(xs, ys, np.tile(a, (17, 5, 1, 1)), np.zeros((17, 5, 2, 2)),
-                     f0=lambda x, y: a, f1=lambda x, y: np.zeros((2, 2)))
+                     exact=exact)
     errs = []
     for steps in (1, 2):
         gt = solve_gauge_ode(fld, steps=steps)

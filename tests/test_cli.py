@@ -1,6 +1,8 @@
 import json
 
+from torsionkit.chain import GradedComplex, canonical_iso
 from torsionkit.cli import main
+from torsionkit.schemas import encode_complex, encode_real
 
 CIRCLE_CW = {
     "kind": "cw",
@@ -153,3 +155,10 @@ def test_bad_representation_matrix_schema(tmp_path):
                 {"kind": "representation", "rank": 1, "generators": {"t": [[0.0]]}})
     cw = write(tmp_path, "cw.json", CIRCLE_CW)
     assert main(["torsion", cw, bad]) == 2
+
+
+def test_negative_zero_encodes_as_zero():
+    # the assembly leaves this exactly real coordinate as (2-0j)
+    iso = canonical_iso(GradedComplex((1, 1), [[[-2]]]), coordinate=-1.0)
+    assert json.dumps(encode_complex(iso.coordinate)) == "[2.0, 0.0]"
+    assert json.dumps(encode_real(-0.0)) == "0.0"

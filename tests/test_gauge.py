@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.interpolate import CubicSpline
 
+from torsionkit import gauge
 from torsionkit.gauge import (GaugeField, GaugeTransformation, curvature_residual,
                               gauge_transform, monodromy, pure_gauge_field,
                               rectangle_path, solve_gauge_ode, temporal_residual,
                               _deriv4)
 from torsionkit.linalg import StructuralError
 
-from oracles import gauge_ode_commuting_oracle
+from oracles import (gauge_ode_commuting_oracle, gauge_ode_per_line_oracle,
+                     monodromy_per_factor_oracle)
 
 
 def constant_field(a, n_x=201, n_y=5, eps=0.5):
@@ -16,9 +19,12 @@ def constant_field(a, n_x=201, n_y=5, eps=0.5):
     ys = np.linspace(0.0, 1.0, n_y)
     om0 = np.tile(a, (n_x, n_y, 1, 1))
     om1 = np.zeros_like(om0)
-    n = a.shape[0]
-    return GaugeField(xs, ys, om0, om1,
-                      f0=lambda x, y: a, f1=lambda x, y: np.zeros((n, n)))
+
+    def exact(x, y):
+        shape = np.broadcast(x, y).shape + a.shape
+        return np.broadcast_to(a, shape), np.zeros(shape)
+
+    return GaugeField(xs, ys, om0, om1, exact=exact)
 
 
 def test_deriv4_accuracy_and_order():
@@ -70,9 +76,13 @@ def test_solve_gauge_ode_commuting_family_vs_quadrature():
     xs = np.linspace(-0.5, 0.5, n_x)
     ys = np.linspace(0, 1, 5)
     om0 = np.array([[f(x) * a for _ in ys] for x in xs])
-    fld = GaugeField(xs, ys, om0, np.zeros_like(om0),
-                     f0=lambda x, y: f(x) * a,
-                     f1=lambda x, y: np.zeros((2, 2)))
+
+    def exact(x, y):
+        x, y = np.broadcast_arrays(x, y)
+        w0 = f(x)[..., None, None] * a
+        return w0, np.zeros_like(w0)
+
+    fld = GaugeField(xs, ys, om0, np.zeros_like(om0), exact=exact)
     gt = solve_gauge_ode(fld, steps=4)
     for ix in (0, 20, 60, n_x - 1):
         want = gauge_ode_commuting_oracle(f, a, xs[ix])
@@ -178,15 +188,12 @@ def test_monodromy_abelian_line_integral():
     xs = np.linspace(-0.5, 0.5, 33)
     ys = np.linspace(0, 1, 33)
 
-    def f0(x, y):
-        return np.array([[y]], dtype=complex)  # omega = y dx
+    def exact(x, y):
+        x, y = np.broadcast_arrays(x, y)
+        w0 = y[..., None, None].astype(complex)  # omega = y dx
+        return w0, np.zeros_like(w0)
 
-    def f1(x, y):
-        return np.array([[0.0]], dtype=complex)
-
-    om0 = np.array([[f0(x, y) for y in ys] for x in xs])
-    om1 = np.array([[f1(x, y) for y in ys] for x in xs])
-    fld = GaugeField(xs, ys, om0, om1, f0=f0, f1=f1)
+    fld = GaugeField(xs, ys, *exact(*np.meshgrid(xs, ys, indexing="ij")), exact=exact)
     path = rectangle_path(fld, 4, 4, 24, 28)
     m = monodromy(fld, path, substeps=8)
     # contour integral of y dx over the rectangle = -area (counterclockwise)
@@ -213,3 +220,58 @@ def test_monodromy_open_path_rejected():
     fld = constant_field(np.zeros((2, 2), complex), n_x=17, n_y=9)
     with pytest.raises(StructuralError):
         monodromy(fld, [(0, 0), (1, 0)], substeps=1)
+
+
+def _counted(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends to the returned list."""
+    calls, original = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_gauge_work_is_batched(monkeypatch):
+    fld = pure_gauge_field(np.random.default_rng(8), n=2, n_x=33, n_y=33)
+    samples = GaugeField(fld.xs, fld.ys, fld.omega0, fld.omega1)
+    steps = 4
+    exact = _counted(monkeypatch, fld, "exact")
+    solve_gauge_ode(fld, steps=steps)
+    assert len(exact) <= 4 * steps * (fld.xs.size - 1)
+    splines = _counted(monkeypatch, gauge, "CubicSpline")
+    solve_gauge_ode(samples, steps=steps)
+    assert len(splines) <= 1
+    splines.clear()
+    expms = _counted(monkeypatch, gauge.sla, "expm")
+    monodromy(samples, rectangle_path(samples, 16, 4, 24, 20), substeps=12)
+    assert len(splines) <= 4
+    assert len(expms) == 1
+
+
+def test_solve_gauge_ode_matches_per_line_rk4():
+    fld = pure_gauge_field(np.random.default_rng(9), n=2, n_x=17, n_y=9)
+    samples = GaugeField(fld.xs, fld.ys, fld.omega0, fld.omega1)
+    spline = CubicSpline(fld.xs, fld.omega0, axis=0)
+    for field, on_line in ((fld, lambda x, iy: fld.exact(x, fld.ys[iy])[0]),
+                           (samples, lambda x, iy: spline(x)[iy])):
+        want = gauge_ode_per_line_oracle(on_line, fld.xs, fld.ys, steps=3)
+        assert np.max(np.abs(solve_gauge_ode(field, steps=3).gamma - want)) < 1e-14
+
+
+def test_monodromy_matches_per_factor_product():
+    fld = pure_gauge_field(np.random.default_rng(10), n=2, n_x=17, n_y=9)
+    samples = GaugeField(fld.xs, fld.ys, fld.omega0, fld.omega1)
+    s0, s1 = (CubicSpline(fld.xs, om, axis=0) for om in (fld.omega0, fld.omega1))
+
+    def spline_at(x, y):
+        # cubic in x on every row, then cubic in y through those values
+        return (CubicSpline(fld.ys, s0(x), axis=0)(y), CubicSpline(fld.ys, s1(x), axis=0)(y))
+
+    # the second rectangle runs along the last grid row and column
+    for path in (rectangle_path(fld, 8, 2, 12, 6), rectangle_path(fld, 10, 3, 16, 8)):
+        for field, omega_at in ((fld, fld.exact), (samples, spline_at)):
+            want = monodromy_per_factor_oracle(omega_at, fld.xs, fld.ys, path, 3)
+            assert np.max(np.abs(monodromy(field, path, substeps=3) - want)) < 1e-14
