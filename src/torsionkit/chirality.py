@@ -598,7 +598,14 @@ def random_chirality_complex(rng: np.random.Generator, m: int,
 
 
 def admissible_lambdas(s: OddSignatureData, count: int = 3) -> list[float]:
-    """Cut values separating clusters of |spec(B^2)|, including 0 when legal."""
+    """Cut values separating clusters of |spec(B^2)|, including 0 when legal.
+
+    Cuts above the top nonzero cluster are (k + 2) times its modulus, k being
+    the number of cuts already chosen.  When spec(B^2) = {0} (for example a
+    zero differential) there is no nonzero cluster and every positive cut is
+    admissible; the same rule with the spectrum's scale max(1, max |eig|) = 1
+    gives the cuts 2, 3, 4, ...
+    """
     eigs = np.abs(s.all_b2_eigs())
     out = []
     if eigs.size == 0:
@@ -617,6 +624,7 @@ def admissible_lambdas(s: OddSignatureData, count: int = 3) -> list[float]:
         out.append(float(np.sqrt(a * b)))
         if len(out) >= count:
             break
-    while len(out) < count and distinct:
-        out.append(float((len(out) + 2.0) * distinct[-1]))
+    top = distinct[-1] if distinct else scale
+    while len(out) < count:
+        out.append(float((len(out) + 2.0) * top))
     return out[:count]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from torsionkit.chain import GradedComplex, cohomology
 from torsionkit.chirality import (ChiralityComplex, admissible_lambdas,
@@ -248,6 +249,25 @@ def test_rho_lambda_theta_invariance_seeded():
         assert len(vals) >= 2
         worst = max(worst, max(abs(v - vals[0]) / abs(vals[0]) for v in vals))
     assert worst < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([1, 3]), max_dim=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_rho_cut_independence_when_b_squared_vanishes(m, max_dim, seed):
+    # zero differentials: B^2 = 0, so no nonzero cluster fixes the cuts
+    x = random_chirality_complex(np.random.default_rng(seed), m, max_dim)
+    dims = x.complex.dims
+    zero = [np.zeros((dims[j + 1], dims[j]), complex) for j in range(m)]
+    x = ChiralityComplex(GradedComplex(dims, zero), x.gamma, x.h)
+    s = odd_signature(x)
+    assert not np.any(s.all_b2_eigs())
+    lams = admissible_lambdas(s, 3)
+    assert len(lams) == 3 and min(lams) > 0
+    coh = cohomology(x.complex, tag="H(X)")
+    vals = [rho(x, lam, th, coh_full=coh, s=s).coordinate
+            for lam in lams for th in (-0.8, -2.1)]
+    assert max(abs(v - vals[0]) / abs(vals[0]) for v in vals) < 1e-8
 
 
 def test_rho_lambda_zero_pure_graded_determinant():

@@ -143,6 +143,23 @@ def test_refined_command(tmp_path, capsys):
     assert len(out["results"]["sweep"]) >= 4
 
 
+def test_refined_command_zero_differential(tmp_path, capsys):
+    # spec(B^2) = {0}: every positive cut is admissible, rho = 1 / gamma_0
+    g0 = 2.0 + 0.5j
+    gi = 1.0 / g0
+    chi = write(tmp_path, "chi.json", {
+        "kind": "chirality", "dims": [1, 1], "differentials": [[[[0.0, 0.0]]]],
+        "gamma": [[[[g0.real, g0.imag]]], [[[gi.real, gi.imag]]]],
+        "h": [[[[1.0, 0.0]]], [[[abs(gi) ** 2, 0.0]]]],
+    })
+    code = main(["refined", chi])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["results"]["max_relative_deviation"] == 0.0
+    assert len(out["results"]["sweep"]) == 6
+    assert abs(complex(*out["results"]["rho"]) - gi) < 1e-12
+
+
 def test_selftest_quick(capsys):
     code = main(["--seed", "3", "selftest", "--level", "quick"])
     out = json.loads(capsys.readouterr().out)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
 
 from torsionkit import gauge
 from torsionkit.gauge import (GaugeField, GaugeTransformation, curvature_residual,
                               gauge_transform, monodromy, pure_gauge_field,
                               rectangle_path, solve_gauge_ode, temporal_residual,
-                              _deriv4)
+                              _deriv4, _expm)
 from torsionkit.linalg import StructuralError
 
 from oracles import (gauge_ode_commuting_oracle, gauge_ode_per_line_oracle,
@@ -237,18 +239,69 @@ def _counted(monkeypatch, owner, name):
 def test_gauge_work_is_batched(monkeypatch):
     fld = pure_gauge_field(np.random.default_rng(8), n=2, n_x=33, n_y=33)
     samples = GaugeField(fld.xs, fld.ys, fld.omega0, fld.omega1)
-    steps = 4
+    path = rectangle_path(samples, 16, 4, 24, 20)
+    scipy_expms = _counted(monkeypatch, sla, "expm")
+    expms = _counted(monkeypatch, gauge, "_expm")
     exact = _counted(monkeypatch, fld, "exact")
-    solve_gauge_ode(fld, steps=steps)
-    assert len(exact) <= 4 * steps * (fld.xs.size - 1)
+    solve_gauge_ode(fld, steps=4)
+    assert 0 < len(exact) <= 12
+    assert len(expms) == len(exact)
+    exact.clear()
+    expms.clear()
+    monodromy(fld, path, substeps=12)
+    assert len(exact) == 1 and len(expms) == 2
     splines = _counted(monkeypatch, gauge, "CubicSpline")
-    solve_gauge_ode(samples, steps=steps)
+    solve_gauge_ode(samples, steps=4)
     assert len(splines) <= 1
     splines.clear()
-    expms = _counted(monkeypatch, gauge.sla, "expm")
-    monodromy(samples, rectangle_path(samples, 16, 4, 24, 20), substeps=12)
+    expms.clear()
+    monodromy(samples, path, substeps=12)
     assert len(splines) <= 4
     assert len(expms) == 1
+    assert not scipy_expms
+
+
+def _expm_misses(a):
+    """Slices of a whose _expm differs from scipy's by more than the pinned bound.
+
+    Bound per slice: 1e-13 * max(1, ||A||_1) * max|e^A|.  scipy is run on the
+    complex cast: on some real 2 x 2 inputs scipy's real path errs by ~1e-13
+    against a 50-digit mpmath reference while its complex path (and _expm)
+    stays at ~1e-15.
+    """
+    got, want = _expm(a), sla.expm(np.asarray(a, dtype=complex))
+    assert got.shape == a.shape and np.isrealobj(got) == np.isrealobj(a)
+    flat = a.reshape(-1, *a.shape[-2:])
+    err = np.abs(got - want).reshape(flat.shape).max(axis=(1, 2), initial=0.0)
+    norm = np.abs(flat).sum(axis=1).max(axis=1, initial=0.0)
+    scale = np.abs(want).reshape(flat.shape).max(axis=(1, 2), initial=0.0)
+    return np.flatnonzero(err > 1e-13 * np.maximum(1.0, norm) * scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), count=st.integers(1, 4), complex_=st.booleans(),
+       log_scale=st.floats(-6.0, 2.0), data=st.data())
+def test_expm_matches_scipy_on_random_stacks(n, count, complex_, log_scale, data):
+    unit = st.floats(-1.0, 1.0)
+    a = data.draw(arrays(float, (count, n, n), elements=unit))
+    if complex_:
+        a = a + 1j * data.draw(arrays(float, (count, n, n), elements=unit))
+    assert _expm_misses(10.0 ** log_scale * a).size == 0
+
+
+def test_expm_fixed_cases():
+    rng = np.random.default_rng(12)
+    tri = np.triu(rng.standard_normal((4, 4)))
+    tri *= 100.0 / np.abs(tri).sum(axis=0).max()  # ||A||_1 = 100
+    # one slice per Pade degree 3, 5, 7, 9, 13, then degree 13 with s = 1, 3, 6
+    mixed = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    mixed /= np.abs(mixed).sum(axis=0).max()
+    norms = [0.01, 0.2, 0.9, 2.0, 5.0, 10.0, 40.0, 300.0]
+    for a in (np.zeros((3, 3)), np.diag([-30.0, 0.5, 20.0]), tri,
+              np.array([[0.0, 1e3], [0.0, 0.0]]), np.zeros((0, 3, 3)),
+              np.array([c * mixed for c in norms])):
+        assert _expm_misses(a).size == 0
+    assert np.array_equal(_expm(np.zeros((2, 2))), np.eye(2))
 
 
 def test_solve_gauge_ode_matches_per_line_rk4():
