@@ -16,6 +16,13 @@ inner products h.  From it we build:
   admissible cut lambda and of the branch angle theta,
 * finite-model eta/xi quantities satisfying Det_gr = exp(xi - i pi xi' - i pi eta).
 
+What depends on the cut lambda but not on the angle theta is computed once
+per cut: the OddSignatureData memoises each cut's SpectralSplit, and the split
+keeps its +/- splitting, the eigenvalues of B+ and B-, and the small-part
+element of rho.  Gap and Agmon checks still run on every call, and a call
+that raises stores nothing, so errors repeat exactly.  The memoised arrays
+are shared by every caller and read-only.
+
 Sign normalization: the refined torsion element carries the extra sign
 (-1)^{(r-1) * dim C^{r-1}} (r = (m+1)/2).  With the Milnor convention of
 chain.torsion_acyclic this is exactly the sign that makes rho independent of
@@ -24,7 +31,7 @@ the spectral cut; it is fixed here once and validated by the invariance tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -138,6 +145,9 @@ class OddSignatureData:
     b_total: np.ndarray
     b2_blocks: list[np.ndarray]
     b2_eigs: list[np.ndarray]
+    # cut lambda -> its SpectralSplit, filled by spectral_split
+    _splits: dict[float, SpectralSplit] = field(default_factory=dict, init=False,
+                                                repr=False, compare=False)
 
     def all_b2_eigs(self) -> np.ndarray:
         return np.concatenate([e for e in self.b2_eigs if e.size]) \
@@ -178,7 +188,12 @@ def odd_signature(x: ChiralityComplex) -> OddSignatureData:
 
 @dataclass
 class SpectralSplit:
-    """Projectors and invariant-subspace bases of B^2 at the cut |mu| <= lambda."""
+    """Projectors and invariant-subspace bases of B^2 at the cut |mu| <= lambda.
+
+    A split belongs to the OddSignatureData that made it.  Its arrays are
+    read-only; the private fields memoise what pm_split, graded_determinant
+    and rho derive from the cut alone.
+    """
 
     lam: float
     threshold: float
@@ -187,10 +202,25 @@ class SpectralSplit:
     u_small_blocks: list[np.ndarray]
     u_big_blocks: list[np.ndarray]
     ranks_small: tuple[int, ...]
+    _pm: PMSplit | None = field(default=None, init=False, repr=False, compare=False)
+    # eigenvalues of B+ and of B-
+    _pm_eigs: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    # (small complex, its cohomology, its refined torsion element)
+    _small: tuple[SmallComplex, Cohomology, DetLineElement] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    # (full complex, its cohomology, the small element pushed to it)
+    _pushed: tuple[GradedComplex, Cohomology, DetLineElement] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def rank_small(self) -> int:
         return sum(self.ranks_small)
+
+
+def _read_only(arrays):
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def spectral_split(s: OddSignatureData, lam: float,
@@ -198,7 +228,11 @@ def spectral_split(s: OddSignatureData, lam: float,
     """Spectral projectors of B^2 at the cut |mu| <= lambda, per degree.
 
     Raises SpectralGapError when lambda is too close to |mu| for some
-    eigenvalue mu of B^2 (relative to the spectral scale).
+    eigenvalue mu of B^2 (relative to the spectral scale).  That check runs
+    on every call; the split itself depends on lambda alone and is memoised
+    on s, so every call at one cut returns the same SpectralSplit, whose
+    arrays are shared and read-only.  Per block, one sorted Schur form gives
+    the small projector and basis, a second one the big basis.
     """
     if lam < 0:
         raise StructuralError("lambda must be >= 0")
@@ -210,19 +244,21 @@ def spectral_split(s: OddSignatureData, lam: float,
         raise SpectralGapError(
             f"lambda={lam} lies within {gap} of |spec(B^2)|; move the cut"
         )
+    split = s._splits.get(lam)
+    if split is not None:
+        return split
     smalls, bigs, us, ub, ranks = [], [], [], [], []
     for blk in s.b2_blocks:
-        p, rk = spectral_projector(blk, lambda z: abs(z) <= thr)
+        p, u_s, rk = spectral_projector(blk, lambda z: abs(z) <= thr)
+        u_b, _ = invariant_subspace(blk, lambda z: abs(z) > thr)
         smalls.append(p)
         bigs.append(np.eye(blk.shape[0], dtype=complex) - p)
-        u_s, rk_s = invariant_subspace(blk, lambda z: abs(z) <= thr)
-        u_b, _ = invariant_subspace(blk, lambda z: abs(z) > thr)
-        if rk_s != rk:
-            raise DegeneracyError("Schur and projector ranks disagree")
         us.append(u_s)
         ub.append(u_b)
         ranks.append(rk)
-    return SpectralSplit(lam, thr, smalls, bigs, us, ub, tuple(ranks))
+    _read_only(smalls + bigs + us + ub)
+    split = s._splits[lam] = SpectralSplit(lam, thr, smalls, bigs, us, ub, tuple(ranks))
+    return split
 
 
 @dataclass
@@ -297,8 +333,16 @@ def pm_split(s: OddSignatureData, split: SpectralSplit) -> PMSplit:
 
     On the invertible part, ker(D Gamma) = im(Gamma D) and
     ker(Gamma D) = im(D); B leaves both invariant.  All computations happen in
-    the orthonormal coordinates of the big invariant subspaces.
+    the orthonormal coordinates of the big invariant subspaces.  The result
+    is memoised on the split (s must be the data that made it) and its
+    arrays are read-only.
     """
+    if split._pm is None:
+        split._pm = _pm_split(s, split)
+    return split._pm
+
+
+def _pm_split(s: OddSignatureData, split: SpectralSplit) -> PMSplit:
     x = s.x
     m = x.m
     d_big, g_big = _big_restriction(s, split)
@@ -317,7 +361,19 @@ def pm_split(s: OddSignatureData, split: SpectralSplit) -> PMSplit:
             )
     b_plus = _restrict_even_family(m, d_big, g_big, dims_big, plus)
     b_minus = _restrict_even_family(m, d_big, g_big, dims_big, minus)
+    _read_only([*plus.values(), *minus.values(), b_plus, b_minus])
     return PMSplit(plus, minus, b_plus, b_minus)
+
+
+def _pm_eigs(s: OddSignatureData, split: SpectralSplit) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of B+ and of B- at the split's cut, memoised on the split."""
+    if split._pm_eigs is None:
+        pm = pm_split(s, split)
+        eigs = tuple(sla.eigvals(b) if b.size else np.zeros(0, complex)
+                     for b in (pm.b_plus, pm.b_minus))
+        _read_only(eigs)
+        split._pm_eigs = eigs
+    return split._pm_eigs
 
 
 def _restrict_even_family(m: int, d_big, g_big, dims_big,
@@ -359,10 +415,7 @@ def graded_determinant(s: OddSignatureData, lam: float, theta: float) -> complex
     """Det'_theta(B+_even) / Det'_theta(-B-_even) on the (lambda, inf) part."""
     if not (-np.pi < theta < 0):
         raise StructuralError("theta must lie in (-pi, 0)")
-    split = spectral_split(s, lam)
-    pm = pm_split(s, split)
-    eig_p = sla.eigvals(pm.b_plus) if pm.b_plus.size else np.zeros(0, complex)
-    eig_m = sla.eigvals(pm.b_minus) if pm.b_minus.size else np.zeros(0, complex)
+    eig_p, eig_m = _pm_eigs(s, spectral_split(s, lam))
     if (eig_p.size and np.min(np.abs(eig_p)) < 1e-10) or \
        (eig_m.size and np.min(np.abs(eig_m)) < 1e-10):
         raise DegeneracyError("B restricted to the large part is not bijective")
@@ -461,12 +514,27 @@ def rho(x: ChiralityComplex, lam: float, theta: float,
     if coh_full is None:
         coh_full = cohomology(x.complex, tag="H(X)")
     det_gr = graded_determinant(s, lam, theta)
-    split = spectral_split(s, lam)
-    small = small_complex(s, split)
-    coh_small = cohomology(small.x.complex, tag="H(small)")
-    elt = refined_torsion_element(small.x, coh_small)
-    pushed = _push_to_full(small, coh_small, x.complex, coh_full, elt)
-    return pushed.scale(det_gr)
+    return _small_element(s, spectral_split(s, lam), x.complex, coh_full).scale(det_gr)
+
+
+def _small_element(s: OddSignatureData, split: SpectralSplit,
+                   full: GradedComplex, coh_full: Cohomology) -> DetLineElement:
+    """rho_{[0,lambda]} pushed to Det H^*(full), memoised on the split.
+
+    The small complex and its element are kept once per split; the pushed
+    element is kept for the last (full, coh_full) pair, matched by identity.
+    """
+    if split._pushed is not None and split._pushed[0] is full \
+            and split._pushed[1] is coh_full:
+        return split._pushed[2]
+    if split._small is None:
+        small = small_complex(s, split)
+        coh_small = cohomology(small.x.complex, tag="H(small)")
+        split._small = small, coh_small, refined_torsion_element(small.x, coh_small)
+    small, coh_small, elt = split._small
+    pushed = _push_to_full(small, coh_small, full, coh_full, elt)
+    split._pushed = full, coh_full, pushed
+    return pushed
 
 
 @dataclass
@@ -510,11 +578,7 @@ def eta_xi_finite(s: OddSignatureData, theta: float, lam: float = 0.0) -> EtaXi:
         sign = -1 if k % 2 else 1
         xi += 0.5 * sign * k * zetap
         xi_prime += 0.5 * sign * k * zeta0
-    pm = pm_split(s, split)
-    eig_even = np.concatenate([
-        sla.eigvals(pm.b_plus) if pm.b_plus.size else np.zeros(0, complex),
-        sla.eigvals(pm.b_minus) if pm.b_minus.size else np.zeros(0, complex),
-    ])
+    eig_even = np.concatenate(_pm_eigs(s, split))
     check_agmon(eig_even, theta)
     check_agmon(eig_even, theta + np.pi)
     mp = mm = 0

@@ -109,7 +109,6 @@ def cmd_torsion(args) -> int:
 
 def cmd_refined(args) -> int:
     x, dx = _load(args.chirality, "chirality")
-    x.validate()
     s = odd_signature(x)
     coh = cohomology(x.complex, tag="H(X)")
     lams = admissible_lambdas(s, 3)

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .linalg import StructuralError
 
@@ -55,6 +54,17 @@ _PADE = {
          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
          16380.0, 182.0, 1.0),
 }
+
+
+def _cubic_spline(*args, **kwargs):
+    """scipy.interpolate.CubicSpline, imported on first call.
+
+    scipy.interpolate pulls in scipy.optimize and scipy.special; importing it
+    here keeps them out of every process that never interpolates, such as
+    the CLI's other commands.
+    """
+    from scipy.interpolate import CubicSpline
+    return CubicSpline(*args, **kwargs)
 
 
 def _pade_uv(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +214,7 @@ def solve_gauge_ode(field: GaugeField, steps: int = 4) -> GaugeTransformation:
             return -np.asarray(field.exact(x[:, None], field.ys[None, :])[0],
                                dtype=np.complex128)
     else:
-        spline0 = CubicSpline(field.xs, field.omega0, axis=0)
+        spline0 = _cubic_spline(field.xs, field.omega0, axis=0)
 
         def a(x):
             return -spline0(x)
@@ -328,9 +338,9 @@ def monodromy(field: GaugeField, path, substeps: int = 16) -> np.ndarray:
         cols, col_of = np.unique(ix0[ver], return_inverse=True)
         o0, o1 = (np.empty(xm.shape + (n, n), dtype=np.complex128) for _ in range(2))
         for om, vals in ((field.omega0, o0), (field.omega1, o1)):
-            along_x = CubicSpline(field.xs, om[:, rows], axis=0)(xm[hor])  # (H, S, rows, n, n)
+            along_x = _cubic_spline(field.xs, om[:, rows], axis=0)(xm[hor])  # (H, S, rows, n, n)
             vals[hor] = along_x[np.arange(hor.size)[:, None], k, row_of[:, None]]
-            along_y = CubicSpline(field.ys, om[cols], axis=1)(ym[ver])  # (cols, V, S, n, n)
+            along_y = _cubic_spline(field.ys, om[cols], axis=1)(ym[ver])  # (cols, V, S, n, n)
             vals[ver] = along_y[col_of[:, None], np.arange(ver.size)[:, None], k]
     factors = _expm(-(o0 * dx[..., None, None] + o1 * dy[..., None, None]))
     out = np.eye(n, dtype=np.complex128)

@@ -5,7 +5,8 @@ singular-value thresholding with a relative tolerance and report a warning
 band.  Each subspace basis and its rank come from one SVD (``_svd``): the
 rank is cut from that decomposition's own singular values.  Spectral
 projectors of (possibly non-normal) matrices are computed from an ordered
-complex Schur form, never from raw eigenvectors.
+complex Schur form, never from raw eigenvectors; that one form also gives
+the basis of the selected invariant subspace.
 """
 
 from __future__ import annotations
@@ -145,26 +146,27 @@ def h_adjoint(a: np.ndarray, h_src: np.ndarray, h_tgt: np.ndarray) -> np.ndarray
     return sla.solve(h_src, a.conj().T @ h_tgt, assume_a="pos")
 
 
-def spectral_projector(a: np.ndarray, select, gap_tol: float = 0.0) -> tuple[np.ndarray, int]:
+def spectral_projector(a: np.ndarray, select) -> tuple[np.ndarray, np.ndarray, int]:
     """Spectral projector of a square matrix onto eigenvalues chosen by select().
 
     Uses a sorted complex Schur form plus a Sylvester solve, so it is correct
     for defective (non-diagonalizable) matrices.  select maps an eigenvalue to
-    bool.  Returns (projector, rank).  gap_tol > 0 additionally rejects inputs
-    whose eigenvalues straddle the selection boundary ambiguously (the caller
-    encodes that check in select and pre-validates; here it is a safety net
-    against empty separation).
+    bool.  Returns (projector, basis, rank): basis holds the leading rank
+    Schur vectors of that one sorted form, an orthonormal basis (columns) of
+    the selected invariant subspace, exactly what invariant_subspace(a,
+    select) returns.
     """
     a = as_cmatrix(a)
     n = a.shape[0]
     if n == 0:
-        return np.zeros((0, 0), dtype=np.complex128), 0
+        return np.zeros((0, 0), dtype=np.complex128), np.zeros((0, 0), dtype=np.complex128), 0
     t, z, sdim = sla.schur(a, output="complex", sort=select)
     sdim = int(sdim)
+    basis = z[:, :sdim]
     if sdim == 0:
-        return np.zeros((n, n), dtype=np.complex128), 0
+        return np.zeros((n, n), dtype=np.complex128), basis, 0
     if sdim == n:
-        return np.eye(n, dtype=np.complex128), n
+        return np.eye(n, dtype=np.complex128), basis, n
     t11 = t[:sdim, :sdim]
     t12 = t[:sdim, sdim:]
     t22 = t[sdim:, sdim:]
@@ -174,7 +176,7 @@ def spectral_projector(a: np.ndarray, select, gap_tol: float = 0.0) -> tuple[np.
     p_schur[:sdim, :sdim] = np.eye(sdim)
     p_schur[:sdim, sdim:] = -x
     p = z @ p_schur @ z.conj().T
-    return p, sdim
+    return p, basis, sdim
 
 
 def invariant_subspace(a: np.ndarray, select) -> tuple[np.ndarray, int]:

@@ -347,7 +347,7 @@ def chirality_suite(seed: int, level: str = "quick"):
     a = np.diag([1.0, 9.0, 25.0]) + 0.0j
     g = np.eye(3) + 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     a = g @ a @ sla.inv(g)
-    p, rk = spectral_projector(a, lambda z: abs(z) <= 4.0)
+    p, _, rk = spectral_projector(a, lambda z: abs(z) <= 4.0)
     w, v = sla.eig(a)
     vi = sla.inv(v)
     p_eig = sum(np.outer(v[:, i], vi[i, :]) for i in range(3) if abs(w[i]) <= 4.0)

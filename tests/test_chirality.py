@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torsionkit.chain import GradedComplex, cohomology
 from torsionkit.chirality import (ChiralityComplex, admissible_lambdas,
@@ -350,3 +350,65 @@ def test_small_complex_gamma_involution():
 def test_chirality_suite_is_deterministic():
     from torsionkit.selftest import chirality_suite
     assert chirality_suite(3, "quick") == chirality_suite(3, "quick")
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the DegeneracyError it raises."""
+    try:
+        return f(*args)
+    except DegeneracyError as e:  # SpectralGapError and AgmonError included
+        return type(e), str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([1, 3]), max_dim=st.integers(2, 6),
+       seed=st.integers(0, 2**32 - 1), theta=st.floats(-3.1, -0.05))
+@example(m=3, max_dim=6, seed=6, theta=-0.9)  # "+/- splitting does not fill" at two cuts
+def test_memoised_cuts_match_a_fresh_signature(m, max_dim, seed, theta):
+    # the refined sweep on one shared s, against a fresh odd_signature and
+    # fresh cohomologies per call: the same values bit for bit, or the same
+    # error.  The last rho of each cut pushes to another Det H^* (tag H(Y)).
+    x = random_chirality_complex(np.random.default_rng(seed), m, max_dim)
+    shared = odd_signature(x)
+    coh = {tag: cohomology(x.complex, tag=tag) for tag in ("H(X)", "H(Y)")}
+    top = float(np.max(np.abs(shared.all_b2_eigs())))
+    for lam in admissible_lambdas(shared, 3) + [top]:  # the last cut hits the gap check
+        for th, tag in ((theta, "H(X)"), (theta / 2.0 - 1.1, "H(X)"), (theta, "H(Y)")):
+            def calls(s, c):
+                return [_outcome(rho, x, lam, th, c, s),
+                        _outcome(graded_determinant, s, lam, th),
+                        _outcome(eta_xi_finite, s, th, lam)]
+            fresh = calls(odd_signature(x), cohomology(x.complex, tag=tag))
+            assert calls(shared, coh[tag]) == fresh
+
+
+def test_memoised_split_is_shared_and_read_only():
+    x = random_chirality_complex(np.random.default_rng(9), 3, 3, acyclic=True)
+    s = odd_signature(x)
+    lam = admissible_lambdas(s, 2)[-1]
+    split = spectral_split(s, lam)
+    assert spectral_split(s, lam) is split
+    pm = pm_split(s, split)
+    assert pm_split(s, split) is pm
+    arrays = [*split.pi_small_blocks, *split.pi_big_blocks, *split.u_small_blocks,
+              *split.u_big_blocks, *pm.plus_bases.values(), *pm.minus_bases.values(),
+              pm.b_plus, pm.b_minus]
+    assert all(a.size for a in split.u_small_blocks + split.u_big_blocks)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_agmon_error_repeats_on_a_memoised_cut():
+    # B+ has the eigenvalue e^{-0.9i}: theta = -0.9 sits on it, -2.0 does not
+    x = simple_m1(np.exp(-0.9j))
+    s = odd_signature(x)
+    errors = []
+    for th in (-0.9, -2.0, -0.9):
+        try:
+            value = rho(x, 0.0, th, s=s).coordinate
+        except AgmonError as e:
+            errors.append(str(e))
+        else:
+            assert value == rho(x, 0.0, th).coordinate
+    assert len(errors) == 2 and errors[0] == errors[1]

@@ -1,6 +1,15 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
+
+import numpy as np
+import scipy.linalg as sla
 
 from torsionkit.chain import GradedComplex, canonical_iso
+from torsionkit.chirality import random_chirality_complex
 from torsionkit.cli import main
 from torsionkit.schemas import encode_complex, encode_real
 
@@ -158,6 +167,55 @@ def test_refined_command_zero_differential(tmp_path, capsys):
     assert out["results"]["max_relative_deviation"] == 0.0
     assert len(out["results"]["sweep"]) == 6
     assert abs(complex(*out["results"]["rho"]) - gi) < 1e-12
+
+
+def chirality_doc(x):
+    def enc(a):
+        return [[[v.real, v.imag] for v in row] for row in np.asarray(a).tolist()]
+    return {"kind": "chirality", "dims": list(x.complex.dims),
+            "differentials": [enc(x.complex.d(j)) for j in range(x.m)],
+            "gamma": [enc(g) for g in x.gamma], "h": [enc(h) for h in x.h]}
+
+
+def test_refined_command_takes_two_schur_forms_per_block_and_cut(tmp_path, monkeypatch):
+    calls = []
+    schur = sla.schur
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "schur", counted)
+    for m in (1, 3):
+        x = random_chirality_complex(np.random.default_rng(1), m, 4)
+        chi = write(tmp_path, f"chi{m}.json", chirality_doc(x))
+        calls.clear()
+        with redirect_stdout(io.StringIO()):
+            assert main(["refined", chi]) == 0
+        # three cuts, m + 1 blocks of B^2
+        assert 0 < len(calls) <= 2 * (m + 1) * 3
+
+
+def test_refined_command_repeats_byte_identically(tmp_path):
+    # memoised cuts live on the command's own data, so nothing leaks across calls
+    x = random_chirality_complex(np.random.default_rng(2), 3, 4)
+    chi = write(tmp_path, "chi.json", chirality_doc(x))
+    outs = []
+    for _ in range(2):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["refined", chi]) == 0
+        outs.append(out.getvalue().encode())
+    assert outs[0] == outs[1]
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    src = os.path.dirname(os.path.dirname(sys.modules["torsionkit"].__file__))
+    code = "import sys, torsionkit.cli; print('scipy.interpolate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_selftest_quick(capsys):

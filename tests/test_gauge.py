@@ -250,7 +250,7 @@ def test_gauge_work_is_batched(monkeypatch):
     expms.clear()
     monodromy(fld, path, substeps=12)
     assert len(exact) == 1 and len(expms) == 2
-    splines = _counted(monkeypatch, gauge, "CubicSpline")
+    splines = _counted(monkeypatch, gauge, "_cubic_spline")
     solve_gauge_ode(samples, steps=4)
     assert len(splines) <= 1
     splines.clear()

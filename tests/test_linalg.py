@@ -81,23 +81,27 @@ def test_h_adjoint_definition():
 
 def test_spectral_projector_diagonal():
     a = np.diag([1.0, 9.0]).astype(complex)
-    p, rk = spectral_projector(a, lambda z: abs(z) <= 4.0)
+    p, u, rk = spectral_projector(a, lambda z: abs(z) <= 4.0)
     assert rk == 1
     assert sla.norm(p - np.diag([1.0, 0.0])) < 1e-12
+    assert u.shape == (2, 1) and abs(abs(u[0, 0]) - 1.0) < 1e-12
 
 
 def test_spectral_projector_full_and_empty():
     a = np.diag([1.0, 2.0]).astype(complex)
-    p_all, rk_all = spectral_projector(a, lambda z: abs(z) <= 10.0)
+    p_all, u_all, rk_all = spectral_projector(a, lambda z: abs(z) <= 10.0)
     assert rk_all == 2 and sla.norm(p_all - np.eye(2)) < 1e-12
-    p_none, rk_none = spectral_projector(a, lambda z: abs(z) <= 0.5)
-    assert rk_none == 0 and sla.norm(p_none) < 1e-12
+    assert sla.norm(u_all.conj().T @ u_all - np.eye(2)) < 1e-12
+    p_none, u_none, rk_none = spectral_projector(a, lambda z: abs(z) <= 0.5)
+    assert rk_none == 0 and sla.norm(p_none) < 1e-12 and u_none.shape == (2, 0)
+    p_0, u_0, rk_0 = spectral_projector(np.zeros((0, 0)), lambda z: True)
+    assert p_0.shape == u_0.shape == (0, 0) and rk_0 == 0
 
 
 def test_spectral_projector_jordan_block_against_contour():
     # defective matrix: eigenvalue 2 Jordan block; cut at 1 selects nothing
     a = np.array([[2.0, 1.0], [0.0, 2.0]], dtype=complex)
-    p, rk = spectral_projector(a, lambda z: abs(z) <= 1.0)
+    p, _, rk = spectral_projector(a, lambda z: abs(z) <= 1.0)
     assert rk == 0 and sla.norm(p) < 1e-12
     # and the contour oracle agrees: radius-1 circle encloses no spectrum
     pc = contour_projector(a, 1.0)
@@ -109,12 +113,16 @@ def test_spectral_projector_nonnormal_against_contour():
     d = np.diag([0.5, 0.7, 3.0, 4.0]).astype(complex)
     g = np.eye(4) + 0.4 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     a = g @ d @ sla.inv(g)
-    p, rk = spectral_projector(a, lambda z: abs(z) <= 1.5)
+    p, u, rk = spectral_projector(a, lambda z: abs(z) <= 1.5)
     pc = contour_projector(a, 1.5, n_nodes=4096)
     assert rk == 2
     assert sla.norm(p - pc) < 1e-8
     assert sla.norm(p @ p - p) < 1e-10
     assert sla.norm(a @ p - p @ a) < 1e-10
+    # the basis spans the projector's range and is the invariant_subspace basis, bit for bit
+    assert sla.norm(p @ u - u) < 1e-10
+    u_inv, rk_inv = invariant_subspace(a, lambda z: abs(z) <= 1.5)
+    assert rk_inv == rk and np.array_equal(u, u_inv)
 
 
 def test_invariant_subspace_orthonormal():
