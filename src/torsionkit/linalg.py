@@ -159,7 +159,8 @@ def spectral_projector(a: np.ndarray, select) -> tuple[np.ndarray, np.ndarray, i
     a = as_cmatrix(a)
     n = a.shape[0]
     if n == 0:
-        return np.zeros((0, 0), dtype=np.complex128), np.zeros((0, 0), dtype=np.complex128), 0
+        empty = np.zeros((0, 0), dtype=np.complex128)
+        return empty, empty, 0
     t, z, sdim = sla.schur(a, output="complex", sort=select)
     sdim = int(sdim)
     basis = z[:, :sdim]
