@@ -21,11 +21,22 @@ Conventions (fixed here, used everywhere else):
 * determinant lines are Det(H^*) = (x)_j (det H^j)^{(-1)^j}; rescaling the
   degree-j basis by M multiplies coordinates of elements by det(M)^{(-1)^{j+1}}.
 * every coordinate is relative to a declared basis_tag; mixing tags raises.
+
+Each GradedComplex factors its differentials once.  Its differentials are
+private read-only copies, and a memo that lives and dies with the complex
+holds the spectral scale, the composition defect and one SVD per (degree,
+full/thin job).  complex_scale, verify_complex, cohomology, canonical_iso,
+torsion_acyclic and the long exact sequence read that memo; none of them
+calls LAPACK on a differential itself.  A rank is still cut per call, from
+the memoised SVD's own singular values with the caller's rtol and floor, so
+the memo does not depend on the tolerance.  A full and a thin SVD of one
+matrix are kept apart, never sliced from each other: LAPACK may round their
+vectors differently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,12 +45,11 @@ from .linalg import (
     RANK_RTOL,
     DegeneracyError,
     StructuralError,
-    _svd,
+    _factor,
+    _rank,
     as_cmatrix,
-    col_space,
     complement_in_kernel,
     rank_svd,
-    row_space,
 )
 
 TOL_COMPLEX = 1e-10
@@ -51,10 +61,16 @@ class NotAcyclicError(DegeneracyError):
 
 @dataclass
 class GradedComplex:
-    """Cochain complex of coordinate spaces; differentials[j]: C^j -> C^{j+1}."""
+    """Cochain complex of coordinate spaces; differentials[j]: C^j -> C^{j+1}.
+
+    The differentials are held as a tuple of read-only arrays that the
+    complex owns (a caller's complex128 array is copied, never frozen), so
+    the factorisation memo cannot go stale.
+    """
 
     dims: tuple[int, ...]
-    differentials: list[np.ndarray]
+    differentials: tuple[np.ndarray, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
@@ -65,10 +81,10 @@ class GradedComplex:
                 f"{len(self.dims)} degrees need {len(self.dims) - 1} differentials, "
                 f"got {len(self.differentials)}"
             )
-        self.differentials = [
-            as_cmatrix(d, rows=self.dims[j + 1], cols=self.dims[j])
+        self.differentials = tuple(
+            _owned(as_cmatrix(d, rows=self.dims[j + 1], cols=self.dims[j]), d)
             for j, d in enumerate(self.differentials)
-        ]
+        )
 
     @property
     def top_degree(self) -> int:
@@ -82,15 +98,32 @@ class GradedComplex:
         hi = self.dims[j + 1] if 0 <= j + 1 <= self.top_degree else 0
         return np.zeros((hi, lo), dtype=np.complex128)
 
+    def _cached(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     def composition_defect(self) -> float:
-        """max_j ||d_{j+1} d_j|| relative to 1 + ||d_{j+1}|| ||d_j||."""
-        worst = 0.0
-        for j in range(len(self.differentials) - 1):
-            a, b = self.differentials[j + 1], self.differentials[j]
-            num = sla.norm(a @ b) if a.size and b.size else 0.0
-            den = 1.0 + sla.norm(a) * sla.norm(b) if a.size and b.size else 1.0
-            worst = max(worst, num / den)
-        return worst
+        """max_j ||d_{j+1} d_j|| relative to 1 + ||d_{j+1}|| ||d_j||, computed once."""
+        def compute():
+            worst = 0.0
+            for j in range(len(self.differentials) - 1):
+                a, b = self.differentials[j + 1], self.differentials[j]
+                num = sla.norm(a @ b) if a.size and b.size else 0.0
+                den = 1.0 + sla.norm(a) * sla.norm(b) if a.size and b.size else 1.0
+                worst = max(worst, num / den)
+            return worst
+        return self._cached("defect", compute)
+
+    def _svd(self, j: int, rtol: float, floor: float, full_matrices: bool):
+        """linalg._svd of d_j; the SVD is memoised per (j, full_matrices), the rank is not."""
+        def compute():
+            out = _factor(self.d(j), full_matrices)
+            for a in out:
+                a.flags.writeable = False
+            return out
+        u, s, vh = self._cached(("svd", j, full_matrices), compute)
+        return u, vh, _rank(s, rtol, floor)
 
     def direct_sum(self, other: "GradedComplex") -> "GradedComplex":
         n = max(len(self.dims), len(other.dims))
@@ -106,6 +139,14 @@ class GradedComplex:
             diffs.append(sla.block_diag(a, b) if (a.size or b.size) else
                          np.zeros((dims[j + 1], dims[j]), complex))
         return GradedComplex(dims, diffs)
+
+
+def _owned(m: np.ndarray, given) -> np.ndarray:
+    """m made read-only; copied first when it is (a view of) the caller's array."""
+    if m is given or m.base is not None:
+        m = m.copy()
+    m.flags.writeable = False
+    return m
 
 
 def verify_complex(c: GradedComplex, tol: float = TOL_COMPLEX) -> bool:
@@ -156,21 +197,22 @@ class Cohomology:
     warnings: list[str]
     tag: str = "auto"
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
     def grading(self) -> tuple[tuple[int, int], ...]:
         return tuple((j, d) for j, d in enumerate(self.dims))
 
 
 def complex_scale(c: GradedComplex) -> float:
-    """Largest singular value over all differentials (spectral scale of the complex)."""
-    out = 0.0
-    for d in c.differentials:
-        if d.size:
-            out = max(out, float(sla.norm(d, 2)))
-    return out
+    """Largest singular value over all differentials (spectral scale of the complex).
+
+    Computed once per complex and kept in its memo.
+    """
+    def compute():
+        out = 0.0
+        for d in c.differentials:
+            if d.size:
+                out = max(out, float(sla.norm(d, 2)))
+        return out
+    return c._cached("scale", compute)
 
 
 def cohomology(c: GradedComplex, rtol: float = RANK_RTOL, tag: str = "auto") -> Cohomology:
@@ -178,16 +220,18 @@ def cohomology(c: GradedComplex, rtol: float = RANK_RTOL, tag: str = "auto") -> 
 
     Rank decisions use the spectral scale of the whole complex as an absolute
     floor so that numerically-zero differentials do not contribute rank.  Per
-    degree, one SVD of d_j gives ker d_j and its rank, one SVD of d_{j-1}
-    gives im d_{j-1} and its rank.
+    degree, the full SVD of d_j gives ker d_j and its rank, the thin SVD of
+    d_{j-1} gives im d_{j-1} and its rank.  Both come from the complex's memo:
+    each is computed on first use only, and canonical_iso and torsion_acyclic
+    reuse the thin ones.
     """
     if not verify_complex(c):
         raise StructuralError(f"not a complex: composition defect {c.composition_defect():.3e}")
     floor = complex_scale(c)
     dims, reps, warns = [], [], []
     for j in range(len(c.dims)):
-        _, vh, rk_out = _svd(c.d(j), rtol, floor, full_matrices=True)
-        u, _, rk_in = _svd(c.d(j - 1), rtol, floor, full_matrices=False)
+        _, vh, rk_out = c._svd(j, rtol, floor, full_matrices=True)
+        u, _, rk_in = c._svd(j - 1, rtol, floor, full_matrices=False)
         if rk_out.ill_conditioned or rk_in.ill_conditioned:
             warns.append(f"ill-conditioned rank decision at degree {j}")
         hdim = c.dims[j] - rk_out.rank - rk_in.rank
@@ -253,8 +297,7 @@ def torsion_acyclic(c: GradedComplex, complements="auto",
     if any(coh.dims):
         raise NotAcyclicError(f"complex is not acyclic: dim H = {coh.dims}")
     if complements == "auto":
-        floor = complex_scale(c)
-        v = [row_space(c.d(j), rtol, floor) for j in range(len(c.dims))]
+        v, _ = _row_spaces(c, rtol)
     elif len(complements) != len(c.dims):
         raise StructuralError("need one complement block per degree")
     else:
@@ -264,6 +307,17 @@ def torsion_acyclic(c: GradedComplex, complements="auto",
     return DetLineElement(coord, "scalar", tuple((j, 0) for j in range(len(c.dims))))
 
 
+def _row_spaces(c: GradedComplex, rtol: float) -> tuple[list[np.ndarray], list[int]]:
+    """Per degree, the row space of d_j (orthonormal columns) and rank d_j."""
+    floor = complex_scale(c)
+    v, ranks = [], []
+    for j in range(len(c.dims)):
+        _, vh, rk = c._svd(j, rtol, floor, full_matrices=False)
+        v.append(vh[:rk.rank, :].conj().T)
+        ranks.append(rk.rank)
+    return v, ranks
+
+
 def canonical_iso(c: GradedComplex, coh: Cohomology | None = None,
                   coordinate: complex = 1.0,
                   rtol: float = RANK_RTOL) -> DetLineElement:
@@ -271,18 +325,15 @@ def canonical_iso(c: GradedComplex, coh: Cohomology | None = None,
 
     Splitting construction: C^j = d V_{j-1} (+) H_j (+) V_j with H_j the given
     cohomology representatives and V_j the row space of d_j; the coordinate
-    picks up prod_j det([d V_{j-1} | H_j | V_j])^{(-1)^{j+1}}.  One SVD per
-    degree gives V_j and rank d_j, and the ranks fix the dims coh must have.
-    On acyclic input this equals torsion_acyclic, whose assembly it shares.
+    picks up prod_j det([d V_{j-1} | H_j | V_j])^{(-1)^{j+1}}.  The thin SVD
+    of each d_j gives V_j and rank d_j, and the ranks fix the dims coh must
+    have.  Those SVDs, the scale and the composition defect come from the
+    complex's memo, so after cohomology(c) this decomposes nothing.  On
+    acyclic input this equals torsion_acyclic, whose assembly it shares.
     """
     if not verify_complex(c):
         raise StructuralError(f"not a complex: composition defect {c.composition_defect():.3e}")
-    floor = complex_scale(c)
-    v, ranks = [], []
-    for j in range(len(c.dims)):
-        _, vh, rk = _svd(c.d(j), rtol, floor, full_matrices=False)
-        v.append(vh[:rk.rank, :].conj().T)
-        ranks.append(rk.rank)
+    v, ranks = _row_spaces(c, rtol)
     if coh is None:
         coh = cohomology(c, rtol)
     hdims = tuple(k - r - (ranks[j - 1] if j else 0)
@@ -413,7 +464,11 @@ def _class_coordinates(c: GradedComplex, coh: Cohomology, j: int,
     k = c.dims[j]
     if coh.dims[j] == 0 or vectors.shape[1] == 0:
         return np.zeros((coh.dims[j], vectors.shape[1]), dtype=np.complex128)
-    img = col_space(c.d(j - 1)) if j > 0 else np.zeros((k, 0), complex)
+    if j > 0:
+        u, _, rk = c._svd(j - 1, RANK_RTOL, 0.0, full_matrices=False)
+        img = u[:, :rk.rank]
+    else:
+        img = np.zeros((k, 0), complex)
     basis = np.hstack([coh.representatives[j], img]) if img.shape[1] else coh.representatives[j]
     sol, _, _, _ = sla.lstsq(basis, vectors)
     recon = basis @ sol

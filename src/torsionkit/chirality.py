@@ -592,11 +592,6 @@ def eta_xi_finite(s: OddSignatureData, theta: float, lam: float = 0.0) -> EtaXi:
     return EtaXi(complex(eta), complex(xi), complex(xi_prime), complex(xi_prime))
 
 
-def _wrap_angle(a: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    return float(np.angle(np.exp(1j * a)))
-
-
 def random_chirality_complex(rng: np.random.Generator, m: int,
                              max_dim: int = 4, acyclic: bool | None = None,
                              spread: float = 1.0) -> ChiralityComplex:

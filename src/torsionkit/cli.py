@@ -10,6 +10,7 @@ thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,12 +18,12 @@ import sys
 import numpy as np
 
 from . import selftest as selftest_mod
-from .chain import cohomology, les_of_ses
+from .chain import canonical_iso, cohomology, les_of_ses
 from .chirality import admissible_lambdas, eta_xi_finite, graded_determinant, \
     odd_signature, rho
 from .cw import (boundary_complex, build_cochain, build_relative,
-                 check_sigma_relation, sigma, sigma_boundary, sigma_relative,
-                 transmission_split, trivial_representation, validate_representation)
+                 check_sigma_relation, sigma, transmission_split,
+                 trivial_representation, validate_representation)
 from .gauge import curvature_residual, gauge_transform, solve_gauge_ode, \
     temporal_residual
 from .holomorphy import ComplexFamily, SectionModel, cr_order, doubled_cochain, \
@@ -84,24 +85,34 @@ def _load(path: str, kind: str):
     return parse_any(doc), digest
 
 
+def _torsion_element(c, tag: str):
+    """canonical_iso of c's standard element, in cohomology bases tagged tag."""
+    return canonical_iso(c, cohomology(c, tag=tag))
+
+
 def cmd_torsion(args) -> int:
     k, dk = _load(args.cw, "cw")
     rep, dr = _load(args.representation, "representation")
     res = validate_representation(rep, k)
-    s = sigma(k, rep)
-    s2 = sigma_relative(k, rep)
+    # each complex is built once; with K' empty the quotient by it is C(K)
+    # itself, entry for entry, and shares its factorisation memo
+    full = build_cochain(k, rep)
+    s = _torsion_element(full, "H(K)")
+    rel = build_relative(k, rep) if k.boundary_subcomplex else full
+    s2 = _torsion_element(rel, "H(K,K')")
     tau = s.tensor(s2)
     results = {
         "relation_residual": res,
         "sigma": s.coordinate,
         "sigma_relative": s2.coordinate,
         "tau": tau.coordinate,
-        "dims": list(build_cochain(k, rep).dims),
-        "relative_dims": list(build_relative(k, rep).dims),
+        "dims": list(full.dims),
+        "relative_dims": list(rel.dims),
     }
     if k.boundary_subcomplex:
-        results["sigma_boundary"] = sigma_boundary(k, rep).coordinate
-        results["boundary_dims"] = list(boundary_complex(k, rep).dims)
+        sub = boundary_complex(k, rep)
+        results["sigma_boundary"] = _torsion_element(sub, "H(K')").coordinate
+        results["boundary_dims"] = list(sub.dims)
     emit_report(args, "torsion", {"cw": dk, "representation": dr}, results,
                 {"tol_rep": 1e-10}, {"pass": res <= 1e-10})
     return EXIT_OK if res <= 1e-10 else EXIT_INVARIANT
@@ -355,10 +366,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; parse_args keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # the cached parser keeps the cmd_* functions it was built with; call
+        # the module's current binding, which a tracer may have wrapped since
+        return globals()[args.fn.__name__](args)
     except (SchemaError, FileNotFoundError) as e:
         print(json.dumps({"error": str(e), "exit": EXIT_INPUT}), file=sys.stderr)
         return EXIT_INPUT

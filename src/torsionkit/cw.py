@@ -78,9 +78,6 @@ class CWData:
         return [cid for cid, d in self.cells
                 if d == j and (subset is None or cid in subset)]
 
-    def dim_of(self, cid: str) -> int:
-        return self._dim[cid]
-
     def restrict(self, keep: set[str]) -> "CWData":
         """Subcomplex on the given cells (must be boundary-closed)."""
         cells = [(cid, d) for cid, d in self.cells if cid in keep]

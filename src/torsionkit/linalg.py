@@ -84,19 +84,26 @@ def rank_svd(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0) -> Rank
     return _rank(sla.svdvals(a), rtol, floor)
 
 
-def _svd(a: np.ndarray, rtol: float, floor: float, full_matrices: bool):
-    """One SVD of a: (u, vh, RankResult), the rank cut from that SVD's singular values.
+def _factor(a: np.ndarray, full_matrices: bool):
+    """One SVD of a as (u, s, vh).
 
-    Every subspace basis and its rank come from this one decomposition.  An
-    empty or all-zero matrix skips LAPACK: its rank is 0 and u, vh are
+    An empty or all-zero matrix skips LAPACK: s is zero and u, vh are
     identities, so the kernel is the whole source space.
     """
     a = as_cmatrix(a)
     m, n = a.shape
     if a.size == 0 or not np.any(a):
-        return (np.eye(m, dtype=np.complex128), np.eye(n, dtype=np.complex128),
-                _rank(np.zeros(min(m, n)), rtol, floor))
-    u, s, vh = sla.svd(a, full_matrices=full_matrices)
+        return (np.eye(m, dtype=np.complex128), np.zeros(min(m, n)),
+                np.eye(n, dtype=np.complex128))
+    return sla.svd(a, full_matrices=full_matrices)
+
+
+def _svd(a: np.ndarray, rtol: float, floor: float, full_matrices: bool):
+    """One SVD of a: (u, vh, RankResult), the rank cut from that SVD's singular values.
+
+    Every subspace basis and its rank come from this one decomposition.
+    """
+    u, s, vh = _factor(a, full_matrices)
     return u, vh, _rank(s, rtol, floor)
 
 
@@ -128,6 +135,10 @@ def complement_in_kernel(ker: np.ndarray, img: np.ndarray,
     if ker.shape[1] == 0:
         return ker, False
     proj = ker - img @ (img.conj().T @ ker) if img.shape[1] else ker
+    # the Frobenius norm bounds every singular value: at or below 1e-9 none
+    # reaches the 1e-8 warning floor, and the SVD would keep no column
+    if np.linalg.norm(proj) <= 1e-9:
+        return np.zeros((ker.shape[0], 0), dtype=np.complex128), False
     u, s, _ = sla.svd(proj, full_matrices=False)
     smax = s[0] if len(s) else 0.0
     if smax == 0.0:

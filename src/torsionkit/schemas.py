@@ -53,8 +53,33 @@ def parse_complex(v: Any, where: str) -> complex:
 
 
 def parse_matrix(v: Any, where: str) -> np.ndarray:
+    """A complex matrix from JSON-decoded rows of numbers or [re, im] pairs.
+
+    Homogeneous numeric input converts in numpy.  Anything else (strings,
+    bools, None, ragged or mixed rows, ints beyond int64) takes the entry by
+    entry path, _parse_entries, which is the one that raises; on JSON data
+    both paths give the same bits.
+    """
     if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
         raise SchemaError(f"{where}: expected a nested array")
+    try:
+        a = np.array(v)
+    except (ValueError, TypeError, OverflowError):
+        a = None
+    if a is not None and a.dtype.kind in "if" and (
+            a.ndim == 2 or (a.ndim == 3 and a.shape[2] == 2)):
+        out = np.zeros(a.shape[:2], dtype=np.complex128)
+        # fill the parts: re + 1j*im could flip the sign of a zero
+        if a.ndim == 2:
+            out.real = a
+        else:
+            out.real = a[..., 0]
+            out.imag = a[..., 1]
+        return out
+    return _parse_entries(v, where)
+
+
+def _parse_entries(v: list, where: str) -> np.ndarray:
     rows = [[parse_complex(x, where) for x in r] for r in v]
     width = len(rows[0])
     if any(len(r) != width for r in rows):

@@ -122,10 +122,10 @@ def test_canonical_iso_rejects_non_complex_with_given_cohomology():
         canonical_iso(bad, cohomology(zero))
 
 
-def four_degree_complex():
-    """dims (2, 4, 4, 2), ranks (1, 2, 1), one cohomology class in every degree."""
-    rng = np.random.default_rng(5)
-    dims, ranks = (2, 4, 4, 2), (1, 2, 1)
+def four_degree_complex(ranks=(1, 2, 1), seed=5):
+    """dims (2, 4, 4, 2); the default ranks leave one class in every degree."""
+    rng = np.random.default_rng(seed)
+    dims = (2, 4, 4, 2)
     std = []
     for j, r in enumerate(ranks):
         d = np.zeros((dims[j + 1], dims[j]), complex)
@@ -137,12 +137,13 @@ def four_degree_complex():
 
 
 def count_svds(monkeypatch):
-    """Record the matrices passed to scipy.linalg.svd and count svdvals calls."""
-    seen = {"svd": [], "svdvals": 0}
+    """Record the matrices (and full_matrices jobs) passed to scipy.linalg.svd; count svdvals."""
+    seen = {"svd": [], "svd_jobs": [], "svdvals": 0}
     svd, svdvals = sla.svd, sla.svdvals
 
     def counting_svd(a, *args, **kwargs):
         seen["svd"].append(a)
+        seen["svd_jobs"].append((a, kwargs.get("full_matrices", True)))
         return svd(a, *args, **kwargs)
 
     def counting_svdvals(a, *args, **kwargs):
@@ -154,15 +155,59 @@ def count_svds(monkeypatch):
     return seen
 
 
-def test_canonical_iso_one_svd_per_degree(monkeypatch):
+def count_lapack(monkeypatch):
+    """count_svds plus the sla.norm(., 2) calls (each one a numpy SVD)."""
+    seen = count_svds(monkeypatch)
+    seen["norm2"] = []
+    norm = sla.norm
+
+    def counting_norm(a, ord=None, *args, **kwargs):
+        if ord == 2:
+            seen["norm2"].append(a)
+        return norm(a, ord, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "norm", counting_norm)
+    return seen
+
+
+def test_canonical_iso_reads_the_memo(monkeypatch):
     c = four_degree_complex()
     coh = cohomology(c)
     assert coh.dims == (1, 1, 1, 1)
-    seen = count_svds(monkeypatch)
+    seen = count_lapack(monkeypatch)
     canonical_iso(c, coh)
-    # one SVD of each d_j; the top degree's outgoing map is empty and needs none
-    assert [id(a) for a in seen["svd"]] == [id(d) for d in c.differentials]
+    # cohomology left every thin SVD and the scale in the complex's memo
+    assert seen["svd"] == [] and seen["norm2"] == [] and seen["svdvals"] == 0
+
+
+def test_one_svd_per_differential_and_job(monkeypatch):
+    c = four_degree_complex(ranks=(2, 2, 2), seed=8)  # acyclic
+    seen = count_lapack(monkeypatch)
+    coh = cohomology(c)
+    canonical_iso(c, coh)
+    canonical_iso(c)
+    torsion_acyclic(c)
+    jobs = [(id(a), full) for a, full in seen["svd_jobs"] if any(a is d for d in c.differentials)]
+    assert len(jobs) == len(set(jobs)) == 2 * len(c.differentials)
+    assert sorted(map(id, seen["norm2"])) == sorted(map(id, c.differentials))
     assert seen["svdvals"] == 0
+
+
+def test_differentials_are_private_read_only_copies():
+    d = np.array([[2.0 + 0.0j]])
+    c = GradedComplex((1, 1), [d])
+    own = c.differentials[0]
+    assert own is not d and not np.shares_memory(own, d)
+    assert d.flags.writeable and not own.flags.writeable
+    with pytest.raises(ValueError):
+        own[0, 0] = 5.0
+    d[0, 0] = 5.0
+    assert own[0, 0] == 2.0
+    assert abs(torsion_acyclic(c).coordinate - 2.0) < 1e-15
+    # a view of the caller's array is copied too
+    big = np.eye(2, dtype=complex)
+    c2 = GradedComplex((1, 1), [big[:1, :1]])
+    assert not np.shares_memory(c2.differentials[0], big) and big.flags.writeable
 
 
 def test_cohomology_two_svds_per_degree(monkeypatch):

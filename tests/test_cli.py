@@ -6,10 +6,12 @@ import sys
 from contextlib import redirect_stdout
 
 import numpy as np
+import pytest
 import scipy.linalg as sla
 
 from torsionkit.chain import GradedComplex, canonical_iso
 from torsionkit.chirality import random_chirality_complex
+from torsionkit import cli
 from torsionkit.cli import main
 from torsionkit.schemas import encode_complex, encode_real
 
@@ -55,6 +57,71 @@ def test_torsion_report_deterministic(tmp_path, capsys):
     main(["torsion", cw, rep])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_torsion_command_factors_each_differential_once(tmp_path, monkeypatch):
+    # 32-cell circle, rank 4, K' empty: d_0 is 128 x 128.  The full and the
+    # relative complex are one object, so cohomology takes one full and one
+    # thin SVD of d_0, canonical_iso none, and the scale one numpy SVD.
+    n = 32
+    cells = [{"id": f"v{i}", "dim": 0, "boundary": []} for i in range(n)]
+    cells += [{"id": f"e{i}", "dim": 1,
+               "boundary": [[f"v{(i + 1) % n}", 1, "t" if i == n - 1 else ""],
+                            [f"v{i}", -1, ""]]} for i in range(n)]
+    hol = 3.0 * np.eye(4) + 0.5 * np.random.default_rng(4).standard_normal((4, 4))
+    cw = write(tmp_path, "cw.json", {"kind": "cw", "generators": ["t"], "cells": cells})
+    rep = write(tmp_path, "rep.json", {"kind": "representation", "rank": 4, "generators": {
+        "t": [[[v, 0.0] for v in row] for row in hol.tolist()]}})
+    calls = {"scipy": 0, "numpy": 0}
+    scipy_svd = sla.svd
+    numpy_linalg = sys.modules[np.linalg.norm.__module__]
+    numpy_svd = numpy_linalg.svd
+
+    def scipy_counted(*args, **kwargs):
+        calls["scipy"] += 1
+        return scipy_svd(*args, **kwargs)
+
+    def numpy_counted(*args, **kwargs):
+        calls["numpy"] += 1
+        return numpy_svd(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "svd", scipy_counted)
+    monkeypatch.setattr(numpy_linalg, "svd", numpy_counted)
+    monkeypatch.setattr(np.linalg, "svd", numpy_counted)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["torsion", cw, rep]) == 0
+    res = json.loads(out.getvalue())["results"]
+    assert res["dims"] == res["relative_dims"] == [4 * n, 4 * n]
+    assert res["sigma"] == res["sigma_relative"]
+    sigma_1 = np.linalg.det(hol - np.eye(4))
+    assert abs(abs(complex(*res["sigma"]) / sigma_1) - 1.0) < 1e-9
+    assert calls["scipy"] <= 2 and calls["numpy"] <= 1
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        good = write(tmp_path, "good.json", CIRCLE_CW)
+        for _ in range(2):
+            assert main(["validate", good]) == 0
+        assert len(built) == 1
+        capsys.readouterr()
+        # --help and usage errors still exit through argparse, every time
+        for _ in range(2):
+            with pytest.raises(SystemExit) as e:
+                main(["--help"])
+            assert e.value.code == 0
+            assert "usage: torsionkit" in capsys.readouterr().out
+            with pytest.raises(SystemExit) as e:
+                main(["nonsense"])
+            assert e.value.code == 2
+            assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_circle_command_values(tmp_path, capsys):

@@ -66,6 +66,36 @@ def test_complement_in_kernel():
     assert not ill
 
 
+# at n_img = 3, eps = 2.2e-10 and 2.3e-10 put ||proj||_F at 0.97e-9 and 1.01e-9
+@pytest.mark.parametrize("eps", [0.0, 1e-15, 1e-12, 1e-10, 2.2e-10, 2.3e-10, 1e-9,
+                                 1e-8, 1e-6, 1e-3])
+@pytest.mark.parametrize("n_img", [0, 2, 3])
+def test_complement_shortcut_agrees_with_the_svd(monkeypatch, eps, n_img):
+    # ker spans 3 of 6 dimensions; img is a frame inside ker tilted out of it by eps
+    rng = np.random.default_rng(n_img)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    ker = q[:, :3]
+    tilt = (ker @ rng.standard_normal((3, n_img))
+            + eps * q[:, 3:] @ rng.standard_normal((3, n_img)))
+    img = np.linalg.qr(tilt)[0] if n_img else np.zeros((6, 0), complex)
+    svds = []
+    svd = sla.svd
+    monkeypatch.setattr(sla, "svd", lambda a, **kw: svds.append(1) or svd(a, **kw))
+    fast = complement_in_kernel(ker, img)
+    shortcut = not svds
+    proj = ker - img @ (img.conj().T @ ker)
+    assert shortcut == (np.linalg.norm(proj) <= 1e-9)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "norm", lambda *a, **kw: np.inf)  # force the SVD path
+        slow = complement_in_kernel(ker, img)
+    assert fast[1] == slow[1]
+    assert fast[0].shape == slow[0].shape == (6, 3 - n_img)
+    assert fast[0].dtype == slow[0].dtype == np.complex128
+    assert fast[0].tobytes() == slow[0].tobytes()
+    if n_img == 3:
+        assert shortcut == (eps <= 2.2e-10)
+
+
 def test_h_adjoint_definition():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
