@@ -64,19 +64,17 @@ def parse_matrix(v: Any, where: str) -> np.ndarray:
         raise SchemaError(f"{where}: expected a nested array")
     try:
         a = np.array(v)
-    except (ValueError, TypeError, OverflowError):
-        a = None
-    if a is not None and a.dtype.kind in "if" and (
-            a.ndim == 2 or (a.ndim == 3 and a.shape[2] == 2)):
-        out = np.zeros(a.shape[:2], dtype=np.complex128)
-        # fill the parts: re + 1j*im could flip the sign of a zero
-        if a.ndim == 2:
-            out.real = a
-        else:
-            out.real = a[..., 0]
-            out.imag = a[..., 1]
-        return out
-    return _parse_entries(v, where)
+    except (ValueError, OverflowError):  # ragged or mixed rows
+        return _parse_entries(v, where)
+    if a.dtype.kind not in "if" or not (a.ndim == 2 or (a.ndim == 3 and a.shape[2] == 2)):
+        return _parse_entries(v, where)
+    out = np.zeros(a.shape[:2], dtype=np.complex128)
+    # fill the parts: re + 1j*im could flip the sign of a zero
+    if a.ndim == 2:
+        out.real = a
+    else:
+        out.real, out.imag = a[..., 0], a[..., 1]
+    return out
 
 
 def _parse_entries(v: list, where: str) -> np.ndarray:

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from torsionkit import cli
 from torsionkit.chain import GradedComplex, canonical_iso
 from torsionkit.chirality import random_chirality_complex
-from torsionkit import cli
 from torsionkit.cli import main
 from torsionkit.schemas import encode_complex, encode_real
 
@@ -74,8 +74,9 @@ def test_torsion_command_factors_each_differential_once(tmp_path, monkeypatch):
         "t": [[[v, 0.0] for v in row] for row in hol.tolist()]}})
     calls = {"scipy": 0, "numpy": 0}
     scipy_svd = sla.svd
-    numpy_linalg = sys.modules[np.linalg.norm.__module__]
-    numpy_svd = numpy_linalg.svd
+    # the module globals that np.linalg.norm (and so sla.norm) looks svd up in
+    numpy_linalg = np.linalg.norm.__wrapped__.__globals__
+    numpy_svd = numpy_linalg["svd"]
 
     def scipy_counted(*args, **kwargs):
         calls["scipy"] += 1
@@ -86,7 +87,7 @@ def test_torsion_command_factors_each_differential_once(tmp_path, monkeypatch):
         return numpy_svd(*args, **kwargs)
 
     monkeypatch.setattr(sla, "svd", scipy_counted)
-    monkeypatch.setattr(numpy_linalg, "svd", numpy_counted)
+    monkeypatch.setitem(numpy_linalg, "svd", numpy_counted)
     monkeypatch.setattr(np.linalg, "svd", numpy_counted)
     out = io.StringIO()
     with redirect_stdout(out):
@@ -96,7 +97,7 @@ def test_torsion_command_factors_each_differential_once(tmp_path, monkeypatch):
     assert res["sigma"] == res["sigma_relative"]
     sigma_1 = np.linalg.det(hol - np.eye(4))
     assert abs(abs(complex(*res["sigma"]) / sigma_1) - 1.0) < 1e-9
-    assert calls["scipy"] <= 2 and calls["numpy"] <= 1
+    assert calls["scipy"] <= 2 and calls["numpy"] == 1
 
 
 def test_parser_is_built_once(tmp_path, monkeypatch, capsys):
