@@ -142,9 +142,10 @@ class GradedComplex:
 
 
 def _owned(m: np.ndarray, given) -> np.ndarray:
-    """m made read-only; copied first when it is (a view of) the caller's array."""
+    """m made read-only, after a copy in m's own memory layout when m is (a view
+    of) the caller's array."""
     if m is given or m.base is not None:
-        m = m.copy()
+        m = m.copy(order="K")
     m.flags.writeable = False
     return m
 
