@@ -350,7 +350,10 @@ def canonical_iso(c: GradedComplex, coh: Cohomology | None = None,
 
 @dataclass
 class ShortExactSequenceData:
-    """0 -> A -i-> B -p-> C -> 0 of cochain complexes, maps given per degree."""
+    """0 -> A -i-> B -p-> C -> 0 of cochain complexes, maps given per degree.
+
+    Validated when it is made: the constructor raises unless it is exact.
+    """
 
     a: GradedComplex
     b: GradedComplex
@@ -368,9 +371,11 @@ class ShortExactSequenceData:
                      for j, m in enumerate(self.iota)]
         self.pi = [as_cmatrix(m, rows=self.c.dims[j], cols=self.b.dims[j])
                    for j, m in enumerate(self.pi)]
+        self.validate()
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Exactness: chain maps, pi o iota = 0, rank iota_j + rank pi_j = dim B_j."""
+        tol = 1e-9
         for j in range(len(self.b.dims) - 1):
             r1 = self.iota[j + 1] @ self.a.d(j) - self.b.d(j) @ self.iota[j]
             r2 = self.pi[j + 1] @ self.b.d(j) - self.c.d(j) @ self.pi[j]
@@ -398,9 +403,9 @@ def fusion(a: DetLineElement, c: DetLineElement,
     det([iota_j | lift_j]) times the standard element of det B_j, with lift_j
     any right inverse of pi_j (the determinant does not depend on the lift);
     degrees are assembled with exponents (-1)^j.  For the split sequence with
-    standard bases this is the wedge-concatenated element, sign +1.
+    standard bases this is the wedge-concatenated element, sign +1.  The
+    sequence was validated when it was made.
     """
-    ses.validate()
     coord = a.coordinate * c.coordinate
     for j in range(len(ses.b.dims)):
         k = ses.b.dims[j]
@@ -509,8 +514,8 @@ def les_of_ses(ses: ShortExactSequenceData,
                coh_a: Cohomology | None = None,
                coh_b: Cohomology | None = None,
                coh_c: Cohomology | None = None) -> LesResult:
-    """Long exact cohomology sequence and the induced determinant-line map Phi."""
-    ses.validate()
+    """Long exact cohomology sequence and the induced determinant-line map Phi
+    of a sequence, which was validated when it was made."""
     coh_a = coh_a or cohomology(ses.a, tag="H(A)")
     coh_b = coh_b or cohomology(ses.b, tag="H(B)")
     coh_c = coh_c or cohomology(ses.c, tag="H(C)")

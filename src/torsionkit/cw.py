@@ -10,11 +10,17 @@ generators; the twisted coboundary block from a j-cell e into a (j+1)-cell f is
 Cell order within each dimension is the input order and is part of the data
 (it fixes the cohomological orientation); all determinant-line coordinates
 refer to it.
+
+build_cochain runs the relation check once per build of C(K, rho).  The
+relative, boundary and transmission complexes are slices of C(K, rho) at their
+cells' coordinates, each checked to square to zero; a slice holds the terms a
+cell loop over its cells sums, in the same order, so it equals that loop's
+result bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -71,12 +77,16 @@ class CWData:
                     )
 
     @property
+    def interior(self) -> set[str]:
+        """The cells outside the flagged boundary subcomplex K'."""
+        return {cid for cid, _ in self.cells if cid not in self.boundary_subcomplex}
+
+    @property
     def top_dim(self) -> int:
         return max((d for _, d in self.cells), default=0)
 
-    def cells_of_dim(self, j: int, subset=None) -> list[str]:
-        return [cid for cid, d in self.cells
-                if d == j and (subset is None or cid in subset)]
+    def cells_of_dim(self, j: int) -> list[str]:
+        return [cid for cid, d in self.cells if d == j]
 
     def restrict(self, keep: set[str]) -> "CWData":
         """Subcomplex on the given cells (must be boundary-closed)."""
@@ -174,48 +184,62 @@ def validate_representation(rho: Representation, k: CWData) -> float:
     return res
 
 
-def build_cochain(k: CWData, rho: Representation, subset=None,
-                  tol_rep: float = TOL_REP) -> GradedComplex:
-    """Twisted cochain complex of k (or of the subcomplex on `subset`)."""
-    if validate_representation(rho, k) > tol_rep:
+def build_cochain(k: CWData, rho: Representation) -> GradedComplex:
+    """Twisted cochain complex C(K, rho); every other cellular complex is a slice of it."""
+    if validate_representation(rho, k) > TOL_REP:
         raise StructuralError("representation violates a relation beyond tol_rep")
     n = rho.rank
-    top = k.top_dim
-    layers = [k.cells_of_dim(j, subset) for j in range(top + 1)]
+    layers = [k.cells_of_dim(j) for j in range(k.top_dim + 1)]
     index = [{cid: i for i, cid in enumerate(layer)} for layer in layers]
     dims = tuple(n * len(layer) for layer in layers)
     diffs = []
-    for j in range(top):
+    for j in range(k.top_dim):
         d = np.zeros((dims[j + 1], dims[j]), dtype=np.complex128)
         for f in layers[j + 1]:
             fi = index[j + 1][f]
             for face, inc, w in k.boundary.get(f, []):
-                if inc == 0 or (subset is not None and face not in subset):
-                    continue
-                if face not in index[j]:
+                if inc == 0:
                     continue
                 ei = index[j][face]
                 d[fi * n:(fi + 1) * n, ei * n:(ei + 1) * n] += inc * rho.evaluate(w)
         diffs.append(d)
-    out = GradedComplex(dims, diffs)
-    if not verify_complex(out):
+    return _checked(GradedComplex(dims, diffs))
+
+
+def _checked(c: GradedComplex) -> GradedComplex:
+    if not verify_complex(c):
         raise StructuralError(
             "twisted boundary does not square to zero: bad incidences or lift words"
         )
+    return c
+
+
+def _slots(k: CWData, n: int, cells) -> list[np.ndarray]:
+    """Per degree, the coordinates of `cells` in C(K) of rank n, in cell order."""
+    out = []
+    for j in range(k.top_dim + 1):
+        pos = [i for i, cid in enumerate(k.cells_of_dim(j)) if cid in cells]
+        out.append((n * np.array(pos, dtype=np.intp)[:, None] + np.arange(n)).ravel())
     return out
 
 
+def cochain_slice(k: CWData, rho: Representation, full: GradedComplex,
+                  cells) -> GradedComplex:
+    """The complex on the coordinates of `cells` in full = C(K, rho): C(K, L) when
+    the other cells form a subcomplex L, C(L) when `cells` do."""
+    slots = _slots(k, rho.rank, cells)
+    diffs = [full.d(j)[np.ix_(slots[j + 1], slots[j])] for j in range(len(slots) - 1)]
+    return _checked(GradedComplex(tuple(len(s) for s in slots), diffs))
+
+
 def build_relative(k: CWData, rho: Representation) -> GradedComplex:
-    """Quotient complex on the cells outside the flagged boundary subcomplex."""
-    interior = {cid for cid, _ in k.cells if cid not in k.boundary_subcomplex}
-    # quotient differential = full differential restricted to interior slots;
-    # correctness needs K' to be a subcomplex, which the constructor enforced.
-    return build_cochain(k, rho, subset=interior)
+    """Quotient complex C(K, K') on the cells outside the flagged boundary subcomplex."""
+    return cochain_slice(k, rho, build_cochain(k, rho), k.interior)
 
 
 def boundary_complex(k: CWData, rho: Representation) -> GradedComplex:
     """Twisted cochain complex of the flagged boundary subcomplex K'."""
-    return build_cochain(k, rho, subset=set(k.boundary_subcomplex))
+    return cochain_slice(k, rho, build_cochain(k, rho), k.boundary_subcomplex)
 
 
 def sigma(k: CWData, rho: Representation, coh: Cohomology | None = None) -> DetLineElement:
@@ -241,31 +265,21 @@ def tau_section(k: CWData, rho: Representation) -> DetLineElement:
     return sigma(k, rho).tensor(sigma_relative(k, rho))
 
 
+def _sequence(k: CWData, rho: Representation, full: GradedComplex,
+              a_cells, c_cells) -> ShortExactSequenceData:
+    """0 -> A -> C(K) -> C -> 0 with A, C the slices of full on a_cells, c_cells,
+    iota and pi the coordinate inclusion and projection."""
+    a, c = cochain_slice(k, rho, full, a_cells), cochain_slice(k, rho, full, c_cells)
+    eye = [np.eye(d, dtype=np.complex128) for d in full.dims]
+    # iota is the transpose of the projection onto A, copied to C order
+    iotas = [e[s].T.copy() for e, s in zip(eye, _slots(k, rho.rank, a_cells))]
+    pis = [e[s] for e, s in zip(eye, _slots(k, rho.rank, c_cells))]
+    return ShortExactSequenceData(a, full, c, iotas, pis)
+
+
 def relative_ses(k: CWData, rho: Representation) -> ShortExactSequenceData:
     """0 -> C(K,K') -> C(K) -> C(K') -> 0 realized by coordinate inclusion/projection."""
-    n = rho.rank
-    full = build_cochain(k, rho)
-    rel = build_relative(k, rho)
-    sub = boundary_complex(k, rho)
-    top = k.top_dim
-    interior = {cid for cid, _ in k.cells if cid not in k.boundary_subcomplex}
-    iotas, pis = [], []
-    for j in range(top + 1):
-        all_cells = k.cells_of_dim(j)
-        int_cells = k.cells_of_dim(j, interior)
-        sub_cells = k.cells_of_dim(j, set(k.boundary_subcomplex))
-        pos = {cid: i for i, cid in enumerate(all_cells)}
-        iota = np.zeros((n * len(all_cells), n * len(int_cells)), dtype=np.complex128)
-        for a, cid in enumerate(int_cells):
-            b = pos[cid]
-            iota[b * n:(b + 1) * n, a * n:(a + 1) * n] = np.eye(n)
-        pi = np.zeros((n * len(sub_cells), n * len(all_cells)), dtype=np.complex128)
-        for a, cid in enumerate(sub_cells):
-            b = pos[cid]
-            pi[a * n:(a + 1) * n, b * n:(b + 1) * n] = np.eye(n)
-        iotas.append(iota)
-        pis.append(pi)
-    return ShortExactSequenceData(rel, full, sub, iotas, pis)
+    return _sequence(k, rho, build_cochain(k, rho), k.interior, k.boundary_subcomplex)
 
 
 def check_sigma_relation(k: CWData, rho_list, tol: float = 1e-8):
@@ -345,49 +359,21 @@ def transmission_split(k: CWData, n_cells, rho: Representation | None = None,
             f"N does not separate K into two pieces (found {len(comps)} components)"
         )
     int1, int2 = comps
-    return (transmission_ses_for(k, int1, int2, n_cells, rho),
-            transmission_ses_for(k, int2, int1, n_cells, rho))
+    full = build_cochain(k, rho)
+    return (_transmission_ses(k, rho, full, int1, int2, n_cells),
+            _transmission_ses(k, rho, full, int2, int1, n_cells))
 
 
 def transmission_ses_for(k: CWData, int_a: set, int_c: set, n_cells: set,
                          rho: Representation) -> ShortExactSequenceData:
     """The transmission sequence for an explicit representation."""
-    n = rho.rank
-    full = build_cochain(k, rho)
-    a_cw = k.restrict(int_a | n_cells)
-    a_cw = CWData(a_cw.cells, a_cw.boundary, a_cw.generators, a_cw.relations,
-                  frozenset(n_cells))
-    a_cpx = _pad_to(build_relative(a_cw, rho), len(full.dims))
-    c_cw = k.restrict(int_c | n_cells)
-    c_cpx = _pad_to(build_cochain(c_cw, rho), len(full.dims))
-    top = k.top_dim
-    iotas, pis = [], []
-    for j in range(top + 1):
-        all_cells = k.cells_of_dim(j)
-        a_cells = [cid for cid in a_cw.cells_of_dim(j) if cid in int_a]
-        c_cells = c_cw.cells_of_dim(j)
-        pos = {cid: i for i, cid in enumerate(all_cells)}
-        iota = np.zeros((n * len(all_cells), n * len(a_cells)), dtype=np.complex128)
-        for a, cid in enumerate(a_cells):
-            b = pos[cid]
-            iota[b * n:(b + 1) * n, a * n:(a + 1) * n] = np.eye(n)
-        pi = np.zeros((n * len(c_cells), n * len(all_cells)), dtype=np.complex128)
-        for a, cid in enumerate(c_cells):
-            b = pos[cid]
-            pi[a * n:(a + 1) * n, b * n:(b + 1) * n] = np.eye(n)
-        iotas.append(iota)
-        pis.append(pi)
-    return ShortExactSequenceData(a_cpx, full, c_cpx, iotas, pis)
+    return _transmission_ses(k, rho, build_cochain(k, rho), int_a, int_c, n_cells)
 
 
-def _pad_to(c: GradedComplex, n_degrees: int) -> GradedComplex:
-    if len(c.dims) == n_degrees:
-        return c
-    dims = c.dims + (0,) * (n_degrees - len(c.dims))
-    diffs = list(c.differentials)
-    while len(diffs) < n_degrees - 1:
-        j = len(diffs)
-        lo = dims[j]
-        hi = dims[j + 1]
-        diffs.append(np.zeros((hi, lo), dtype=np.complex128))
-    return GradedComplex(dims, diffs)
+def _transmission_ses(k: CWData, rho: Representation, full: GradedComplex, int_a: set,
+                      int_c: set, n_cells: set) -> ShortExactSequenceData:
+    """0 -> C(K_a, N) -> C(K) -> C(K_c) -> 0 with K_a = int_a + N, K_c = int_c + N."""
+    # K_a and K_c must be subcomplexes of K, and N a subcomplex of K_a
+    replace(k.restrict(int_a | n_cells), boundary_subcomplex=n_cells)
+    k.restrict(int_c | n_cells)
+    return _sequence(k, rho, full, int_a, int_c | n_cells)

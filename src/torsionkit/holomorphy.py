@@ -26,7 +26,7 @@ import scipy.linalg as sla
 from .chain import GradedComplex, cone, torsion_acyclic, verify_complex
 from .chirality import ChiralityComplex, graded_determinant, odd_signature, \
     spectral_split
-from .cw import CWData, Representation, build_cochain, build_relative
+from .cw import CWData, Representation, build_cochain, cochain_slice
 from .linalg import DegeneracyError, StructuralError, as_cmatrix
 
 CR_TOL = 1e-6
@@ -137,9 +137,8 @@ class SectionModel:
 
 def doubled_cochain(k: CWData, rep: Representation) -> GradedComplex:
     """C_d = C(K, K') (+) C(K): the doubled complex of the boundary setup."""
-    rel = build_relative(k, rep)
     full = build_cochain(k, rep)
-    return rel.direct_sum(full)
+    return cochain_slice(k, rep, full, k.interior).direct_sum(full)
 
 
 def section_ratio(k: CWData, model: SectionModel, curve: RepresentationCurve,

@@ -4,7 +4,9 @@ These deliberately avoid the library code paths: random complements with
 direct linear solves instead of SVD frames, Laplacian determinant products for
 the torsion modulus, explicit per-degree determinants for fusion, contour
 integration for spectral projectors, and truncated Euler products for the
-circle determinant.
+circle determinant.  cochain_by_cells and coordinate_maps assemble cellular
+complexes and their inclusion/projection maps cell by cell, as a reference
+for the slices the library cuts out of one C(K, rho).
 """
 
 from __future__ import annotations
@@ -183,3 +185,50 @@ def monodromy_per_factor_oracle(omega_at, xs, ys, path, substeps: int) -> np.nda
             f = sla.expm(-(o0 * dx + o1 * dy))
             out = f if out is None else f @ out
     return out
+
+
+def cochain_by_cells(k, rho, subset=None):
+    """Twisted cochain complex of k on the cells of `subset` (all cells when None).
+
+    Each (cell, face) block sums incidence * rho(word) over the boundary terms
+    of the cell whose face lies in `subset`, in boundary-list order; degrees
+    run over all of k, so a degree with no cells in `subset` has dimension 0.
+    """
+    from torsionkit.chain import GradedComplex
+
+    n = rho.rank
+    layers = [[cid for cid, d in k.cells if d == j and (subset is None or cid in subset)]
+              for j in range(k.top_dim + 1)]
+    index = [{cid: i for i, cid in enumerate(layer)} for layer in layers]
+    dims = tuple(n * len(layer) for layer in layers)
+    diffs = []
+    for j in range(k.top_dim):
+        d = np.zeros((dims[j + 1], dims[j]), dtype=np.complex128)
+        for f in layers[j + 1]:
+            fi = index[j + 1][f]
+            for face, inc, w in k.boundary.get(f, []):
+                if inc == 0 or face not in index[j]:
+                    continue
+                ei = index[j][face]
+                d[fi * n:(fi + 1) * n, ei * n:(ei + 1) * n] += inc * rho.evaluate(w)
+        diffs.append(d)
+    return GradedComplex(dims, diffs)
+
+
+def coordinate_maps(k, n: int, a_cells, c_cells):
+    """Per degree, the inclusion of the a_cells coordinates of C(K) (rank n) and
+    the projection onto the c_cells ones, one n x n identity block per cell."""
+    iotas, pis = [], []
+    for j in range(k.top_dim + 1):
+        cells = [cid for cid, d in k.cells if d == j]
+        a = [i for i, cid in enumerate(cells) if cid in a_cells]
+        c = [i for i, cid in enumerate(cells) if cid in c_cells]
+        iota = np.zeros((n * len(cells), n * len(a)), dtype=np.complex128)
+        for col, row in enumerate(a):
+            iota[row * n:(row + 1) * n, col * n:(col + 1) * n] = np.eye(n)
+        pi = np.zeros((n * len(c), n * len(cells)), dtype=np.complex128)
+        for row, col in enumerate(c):
+            pi[row * n:(row + 1) * n, col * n:(col + 1) * n] = np.eye(n)
+        iotas.append(iota)
+        pis.append(pi)
+    return iotas, pis

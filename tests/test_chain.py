@@ -313,11 +313,10 @@ def test_fusion_rejects_non_exact():
     a = GradedComplex((1, 0), [np.zeros((0, 1), complex)])
     b = GradedComplex((1, 0), [np.zeros((0, 1), complex)])
     c = GradedComplex((1, 0), [np.zeros((0, 1), complex)])
-    ses = ShortExactSequenceData(a, b, c, [np.eye(1, dtype=complex), np.zeros((0, 0), complex)],
-                                 [np.eye(1, dtype=complex), np.zeros((0, 0), complex)])
-    one = DetLineElement(1.0, "std", ((0, 1), (1, 0)))
-    with pytest.raises(StructuralError):
-        fusion(one, one, ses)
+    # a sequence is validated when it is made, so fusion never sees this one
+    with pytest.raises(StructuralError, match=r"pi o iota != 0 at degree 0"):
+        ShortExactSequenceData(a, b, c, [np.eye(1, dtype=complex), np.zeros((0, 0), complex)],
+                               [np.eye(1, dtype=complex), np.zeros((0, 0), complex)])
 
 
 def test_cone_identity_is_acyclic():
@@ -454,7 +453,6 @@ def test_ses_exactness_validation():
     rng = np.random.default_rng(10)
     ses = _split_ses(rng)
     ses.validate()
-    bad = ShortExactSequenceData(ses.a, ses.b, ses.c,
-                                 [0.0 * m for m in ses.iota], ses.pi)
-    with pytest.raises(StructuralError):
-        bad.validate()
+    with pytest.raises(StructuralError,
+                       match=r"iota not injective or pi not surjective at degree 0"):
+        ShortExactSequenceData(ses.a, ses.b, ses.c, [0.0 * m for m in ses.iota], ses.pi)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from torsionkit import cli
-from torsionkit.chain import GradedComplex, canonical_iso
+import torsionkit.cw as cw_module
+from torsionkit import cli, holomorphy
+from torsionkit.chain import GradedComplex, ShortExactSequenceData, canonical_iso
 from torsionkit.chirality import random_chirality_complex
 from torsionkit.cli import main
 from torsionkit.schemas import encode_complex, encode_real
@@ -31,6 +32,37 @@ CURVE_THROUGH_ONE = {"kind": "curve", "rank": 1, "radius": 0.25,
 GAUGE = {"kind": "gauge-field",
          "generator": {"type": "pure-gauge", "seed": 7, "rank": 2,
                        "nx": 65, "ny": 65, "eps": 0.5}}
+
+
+def circle_doc(n, flagged=()):
+    """n-vertex circle, the last edge carrying t; the `flagged` cells form K'."""
+    cells = [{"id": f"v{i}", "dim": 0, "boundary": []} for i in range(n)]
+    cells += [{"id": f"e{i}", "dim": 1,
+               "boundary": [[f"v{(i + 1) % n}", 1, "t" if i == n - 1 else ""],
+                            [f"v{i}", -1, ""]]} for i in range(n)]
+    for c in cells:
+        c["in_boundary"] = c["id"] in flagged
+    return {"kind": "cw", "generators": ["t"], "cells": cells}
+
+
+def rep_doc(matrices):
+    rank = len(next(iter(matrices.values())))
+    return {"kind": "representation", "rank": rank, "generators": {
+        g: [[[complex(v).real, complex(v).imag] for v in row] for row in np.asarray(m).tolist()]
+        for g, m in matrices.items()}}
+
+
+def counted(monkeypatch, owners, name):
+    """Wrap name on every owner by one wrapper; each call appends to the returned list."""
+    calls, original = [], getattr(owners[0], name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 def write(tmp_path, name, doc):
@@ -64,14 +96,9 @@ def test_torsion_command_factors_each_differential_once(tmp_path, monkeypatch):
     # relative complex are one object, so cohomology takes one full and one
     # thin SVD of d_0, canonical_iso none, and the scale one numpy SVD.
     n = 32
-    cells = [{"id": f"v{i}", "dim": 0, "boundary": []} for i in range(n)]
-    cells += [{"id": f"e{i}", "dim": 1,
-               "boundary": [[f"v{(i + 1) % n}", 1, "t" if i == n - 1 else ""],
-                            [f"v{i}", -1, ""]]} for i in range(n)]
     hol = 3.0 * np.eye(4) + 0.5 * np.random.default_rng(4).standard_normal((4, 4))
-    cw = write(tmp_path, "cw.json", {"kind": "cw", "generators": ["t"], "cells": cells})
-    rep = write(tmp_path, "rep.json", {"kind": "representation", "rank": 4, "generators": {
-        "t": [[[v, 0.0] for v in row] for row in hol.tolist()]}})
+    cw = write(tmp_path, "cw.json", circle_doc(n))
+    rep = write(tmp_path, "rep.json", rep_doc({"t": hol}))
     calls = {"scipy": 0, "numpy": 0}
     scipy_svd = sla.svd
     # the module globals that np.linalg.norm (and so sla.norm) looks svd up in
@@ -98,6 +125,59 @@ def test_torsion_command_factors_each_differential_once(tmp_path, monkeypatch):
     sigma_1 = np.linalg.det(hol - np.eye(4))
     assert abs(abs(complex(*res["sigma"]) / sigma_1) - 1.0) < 1e-9
     assert calls["scipy"] <= 2 and calls["numpy"] == 1
+
+
+def test_torsion_slices_the_relative_and_boundary_complexes(tmp_path, monkeypatch):
+    # C(K) is built once; C(K, K') and C(K') are cut out of it
+    rng = np.random.default_rng(5)
+    hol = 2.0 * np.eye(2) + 0.5 * rng.standard_normal((2, 2))
+    cw = write(tmp_path, "cw.json", circle_doc(6, flagged={"v0", "v3"}))
+    rep = write(tmp_path, "rep.json", rep_doc({"t": hol}))
+    builds = counted(monkeypatch, [cw_module, cli, holomorphy], "build_cochain")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["torsion", cw, rep]) == 0
+    res = json.loads(out.getvalue())["results"]
+    assert (res["dims"], res["relative_dims"], res["boundary_dims"]) == \
+        ([12, 12], [8, 12], [4, 0])
+    assert len(builds) == 1
+
+
+def test_glue_builds_once_per_sequence_and_validates_each_once(tmp_path, monkeypatch):
+    # the glue op of the benchmark's cli-mix deck: 8-cell circle, rank 4, two
+    # representations, split at the two flagged vertices
+    rng = np.random.default_rng(6)
+    cw = write(tmp_path, "cw.json", circle_doc(8, flagged={"v0", "v3"}))
+    reps = [write(tmp_path, f"rep{i}.json", rep_doc({"t": 2.0 * np.eye(4) + 0.5 * (
+        rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))})) for i in range(2)]
+    builds = counted(monkeypatch, [cw_module, cli, holomorphy], "build_cochain")
+    validations = counted(monkeypatch, [ShortExactSequenceData], "validate")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["glue", cw, *reps, "--split", "v0,v3"]) == 0
+    res = json.loads(out.getvalue())["results"]
+    assert res["transmission_first"]["b_dims"] == [32, 32]
+    # one C(K) per relative sequence and one for both transmission sequences;
+    # each of the four sequences is validated when it is made
+    assert len(builds) <= 3
+    assert len(validations) == 4
+
+
+def test_torsion_rejects_a_relation_violation_before_any_report(tmp_path, capsys):
+    torus = {"kind": "cw", "generators": ["t", "s"], "relations": ["t s t^-1 s^-1"],
+             "cells": [{"id": "v", "dim": 0, "boundary": []},
+                       {"id": "a", "dim": 1, "boundary": [["v", 1, "t"], ["v", -1, ""]]},
+                       {"id": "b", "dim": 1, "boundary": [["v", 1, "s"], ["v", -1, ""]]},
+                       {"id": "f", "dim": 2, "boundary": [["a", 1, ""], ["b", 1, "t"],
+                                                         ["a", -1, "s"], ["b", -1, ""]]}]}
+    rep = rep_doc({"t": [[1.0, 1.0], [0.0, 1.0]], "s": [[1.0, 0.0], [1.0, 1.0]]})
+    code = main(["torsion", write(tmp_path, "torus.json", torus),
+                 write(tmp_path, "rep.json", rep)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "representation violates a relation beyond tol_rep", "exit": 2}
 
 
 def test_parser_is_built_once(tmp_path, monkeypatch, capsys):

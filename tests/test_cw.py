@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
+from oracles import cochain_by_cells, coordinate_maps
 from torsionkit.chain import cohomology, les_of_ses, verify_complex
-from torsionkit.cw import (CWData, Representation, build_cochain,
+from torsionkit.cw import (CWData, Representation, boundary_complex, build_cochain,
                            build_relative, check_sigma_relation, relative_ses,
                            sigma, sigma_relative, tau_section,
-                           transmission_split, trivial_representation,
-                           validate_representation)
+                           transmission_ses_for, transmission_split,
+                           trivial_representation, validate_representation)
+from torsionkit.holomorphy import doubled_cochain
 from torsionkit.linalg import StructuralError
 
 
@@ -30,6 +33,25 @@ def split_circle():
                   generators=["t"], boundary_subcomplex={"v1", "v2"})
 
 
+def disc():
+    return CWData(
+        cells=[("v1", 0), ("v2", 0), ("a1", 1), ("a2", 1), ("c", 1), ("F1", 2), ("F2", 2)],
+        boundary={"a1": [("v2", 1, ""), ("v1", -1, "")],
+                  "a2": [("v1", 1, ""), ("v2", -1, "")],
+                  "c": [("v2", 1, ""), ("v1", -1, "")],
+                  "F1": [("a1", 1, ""), ("c", -1, "")],
+                  "F2": [("a2", 1, ""), ("c", 1, "")]},
+        generators=[], boundary_subcomplex={"v1", "v2", "a1", "a2"})
+
+
+def torus_cw():
+    return CWData(cells=[("v", 0), ("a", 1), ("b", 1), ("f", 2)],
+                  boundary={"a": [("v", 1, "t"), ("v", -1, "")],
+                            "b": [("v", 1, "s"), ("v", -1, "")],
+                            "f": [("a", 1, ""), ("b", 1, "t"), ("a", -1, "s"), ("b", -1, "")]},
+                  generators=["t", "s"], relations=["t s t^-1 s^-1"])
+
+
 def rank1(lam):
     return Representation(1, {"t": np.array([[lam]], dtype=complex)})
 
@@ -37,12 +59,7 @@ def rank1(lam):
 def test_validate_representation_values():
     assert validate_representation(trivial_representation(2, ["t"]), circle()) == 0.0
     assert validate_representation(rank1(2.0), circle()) == 0.0
-    torus = CWData(cells=[("v", 0), ("a", 1), ("b", 1), ("f", 2)],
-                   boundary={"a": [("v", 1, "t"), ("v", -1, "")],
-                             "b": [("v", 1, "s"), ("v", -1, "")],
-                             "f": [("a", 1, ""), ("b", 1, "t"),
-                                   ("a", -1, "s"), ("b", -1, "")]},
-                   generators=["t", "s"], relations=["t s t^-1 s^-1"])
+    torus = torus_cw()
     noncomm = Representation(2, {"t": np.array([[1.0, 1.0], [0.0, 1.0]], complex),
                                  "s": np.array([[1.0, 0.0], [1.0, 1.0]], complex)})
     assert validate_representation(noncomm, torus) > 0.0
@@ -208,12 +225,7 @@ def test_sigma_rational_in_representation():
 
 def test_twisted_dd_zero_random_reps():
     rng = np.random.default_rng(7)
-    torus = CWData(cells=[("v", 0), ("a", 1), ("b", 1), ("f", 2)],
-                   boundary={"a": [("v", 1, "t"), ("v", -1, "")],
-                             "b": [("v", 1, "s"), ("v", -1, "")],
-                             "f": [("a", 1, ""), ("b", 1, "t"),
-                                   ("a", -1, "s"), ("b", -1, "")]},
-                   generators=["t", "s"], relations=["t s t^-1 s^-1"])
+    torus = torus_cw()
     for i in range(21):
         n = int(rng.integers(1, 4))
         if i == 0:
@@ -280,3 +292,94 @@ def test_boundary_subcomplex_closure_enforced():
         CWData(cells=[("v", 0), ("e", 1)],
                boundary={"e": [("v", 1, "t"), ("v", -1, "")]},
                generators=["t"], boundary_subcomplex={"e"})
+
+
+def assert_same_bits(c, ref):
+    assert c.dims == ref.dims
+    for d, r in zip(c.differentials, ref.differentials, strict=True):
+        assert d.shape == r.shape
+        assert d.flags.c_contiguous and r.flags.c_contiguous
+        assert d.tobytes() == r.tobytes()
+
+
+def assert_slices_match_cell_loop(k, rho, n_cells=None):
+    """Every complex the library slices out of C(K, rho) against the cell loop.
+
+    With n_cells, also both sides of the transmission sequences of the
+    splitting along N = n_cells, and their inclusion/projection maps.
+    """
+    interior = {cid for cid, _ in k.cells if cid not in k.boundary_subcomplex}
+    ref_full = cochain_by_cells(k, rho)
+    ref_rel = cochain_by_cells(k, rho, interior)
+    assert_same_bits(build_cochain(k, rho), ref_full)
+    assert_same_bits(build_relative(k, rho), ref_rel)
+    assert_same_bits(boundary_complex(k, rho), cochain_by_cells(k, rho, k.boundary_subcomplex))
+    assert_same_bits(doubled_cochain(k, rho), ref_rel.direct_sum(ref_full))
+    if n_cells is None:
+        return
+    # transmission_split names first the piece holding the first cell outside N
+    rest = {cid for cid, _ in k.cells if cid not in n_cells}
+    first = _component(k, rest, next(cid for cid, _ in k.cells if cid in rest))
+    pieces = [first, rest - first]
+    split = transmission_split(k, n_cells, rho)
+    for ses, (int_a, int_c) in zip(split, (pieces, pieces[::-1]), strict=True):
+        for seq in (ses, transmission_ses_for(k, int_a, int_c, n_cells, rho)):
+            assert_same_bits(seq.b, ref_full)
+            assert_same_bits(seq.a, cochain_by_cells(k, rho, int_a))
+            assert_same_bits(seq.c, cochain_by_cells(k, rho, int_c | n_cells))
+            iotas, pis = coordinate_maps(k, rho.rank, int_a, int_c | n_cells)
+            for got, want in zip(seq.iota + seq.pi, iotas + pis, strict=True):
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+
+
+def _component(k, rest, start) -> set:
+    """The cells of rest joined to start by boundary terms inside rest."""
+    adj = {cid: set() for cid in rest}
+    for f, terms in k.boundary.items():
+        for face, inc, _ in terms:
+            if inc and f in rest and face in rest:
+                adj[f].add(face)
+                adj[face].add(f)
+    seen, stack = set(), [start]
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            stack.extend(adj[x])
+    return seen
+
+
+def test_slices_match_cell_loop_on_fixtures():
+    rng = np.random.default_rng(6)
+    for n in (1, 3):
+        assert_slices_match_cell_loop(interval(), trivial_representation(n, []))
+        assert_slices_match_cell_loop(disc(), trivial_representation(n, []),
+                                      {"v1", "v2", "c"})
+    for _ in range(3):
+        t = np.eye(2) + 0.4 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        assert_slices_match_cell_loop(split_circle(), Representation(2, {"t": t}),
+                                      {"v1", "v2"})
+    lam, mu = (np.diag(rng.uniform(0.5, 2.0, 3) * np.exp(1j * rng.uniform(0, 6.28, 3)))
+               for _ in range(2))
+    assert_slices_match_cell_loop(torus_cw(), Representation(3, {"t": lam, "s": mu}))
+
+
+def circle_with_cut(n_cells, cut_a, cut_b):
+    """n_cells-vertex circle, the last edge carrying t, with K' = {v_cut_a, v_cut_b}."""
+    cells = [(f"v{i}", 0) for i in range(n_cells)] + [(f"e{i}", 1) for i in range(n_cells)]
+    boundary = {f"e{i}": [(f"v{(i + 1) % n_cells}", 1, "t" if i == n_cells - 1 else ""),
+                          (f"v{i}", -1, "")] for i in range(n_cells)}
+    return CWData(cells, boundary, ["t"], boundary_subcomplex={f"v{cut_a}", f"v{cut_b}"})
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_cells=st.integers(2, 16), data=st.data(), rank=st.integers(1, 4),
+       log_scale=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_slices_match_cell_loop_on_cut_circles(n_cells, data, rank, log_scale, seed):
+    cut_a, cut_b = data.draw(st.lists(st.integers(0, n_cells - 1), min_size=2, max_size=2,
+                                      unique=True))
+    k = circle_with_cut(n_cells, cut_a, cut_b)
+    g = np.random.default_rng(seed).standard_normal((2, rank, rank))
+    hol = 10.0 ** log_scale * (np.eye(rank) + 0.5 * (g[0] + 1j * g[1]) / np.sqrt(rank))
+    assert_slices_match_cell_loop(k, Representation(rank, {"t": hol}), k.boundary_subcomplex)
