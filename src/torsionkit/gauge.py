@@ -89,19 +89,25 @@ def _pade_uv(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def _expm(a) -> np.ndarray:
+def _expm(a, negative: bool = False):
     """exp of every slice of an (..., n, n) stack, by batched scaling and squaring.
 
     Each slice gets the lowest Pade degree m in {3, 5, 7, 9, 13} whose theta_m
     bounds its 1-norm; slices beyond theta_13 are scaled by their own 2^-s and
     squared s times.  One batched solve per degree group.
+
+    With negative=True it returns the pair (exp(a), exp(-a)).  The diagonal
+    Pade approximant satisfies r_m(-X) = r_m(X)^{-1}: -a has the same norms,
+    degrees and scalings, V(-X) = V(X) and U(-X) = -U(X) bit for bit, so
+    exp(-a) is solve(V + U, V - U) from the same U, V, squared as often as
+    exp(a), and equals _expm(-a) bit for bit.
     """
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.inexact):
         a = a.astype(float)
     n = a.shape[-1]
     if n <= 1 or a.size == 0:
-        return np.exp(a)
+        return (np.exp(a), np.exp(-a)) if negative else np.exp(a)
     flat = a.reshape(-1, n, n)
     norms = np.abs(flat).sum(axis=-2).max(axis=-1)
     norms[~np.isfinite(norms)] = 0.0  # non-finite slices stay non-finite
@@ -111,7 +117,7 @@ def _expm(a) -> np.ndarray:
     big = norms > _THETA[13]
     s = np.zeros(norms.shape, dtype=int)
     s[big] = np.ceil(np.log2(norms[big] / _THETA[13])).astype(int)
-    out = np.empty_like(flat)
+    outs = [np.empty_like(flat) for _ in range(1 + negative)]
     for m in _PADE:
         idx = np.flatnonzero(degree == m)
         if idx.size == 0:
@@ -120,11 +126,15 @@ def _expm(a) -> np.ndarray:
         if m == 13:
             b = np.ldexp(1.0, -s[idx])[:, None, None] * b
         u, v = _pade_uv(b, m)
-        out[idx] = np.linalg.solve(v - u, v + u)
+        outs[0][idx] = np.linalg.solve(v - u, v + u)
+        if negative:
+            outs[1][idx] = np.linalg.solve(v + u, v - u)
     for k in range(1, int(s.max()) + 1):
         idx = np.flatnonzero(s >= k)
-        out[idx] = out[idx] @ out[idx]
-    return out.reshape(a.shape)
+        for out in outs:
+            out[idx] = out[idx] @ out[idx]
+    outs = [out.reshape(a.shape) for out in outs]
+    return tuple(outs) if negative else outs[0]
 
 
 @dataclass
@@ -196,13 +206,15 @@ def solve_gauge_ode(field: GaugeField, steps: int = 4) -> GaugeTransformation:
     """Integrate d gamma/dx = -omega_0 gamma, gamma(0, y) = I, on all y-lines.
 
     steps substeps of classical RK4 per grid interval; global error O(h^4).
-    gamma is an (n_y, n, n) stack advanced by batched matrix products.  Each
-    direction first lists its stage abscissas with the sweep's own arithmetic
-    (x += h, stages at x + h/2 and x + h; the two midpoint stages share one,
-    and a step's endpoint is the next step's start).  The field is evaluated
-    on them in blocks of whole steps, about _STAGE_BLOCK points per call: by
-    the exact callable on (abscissas, ys) when present, otherwise by one cubic
-    spline in x through the samples.  RK4 then sweeps the stored stages.
+    Both directions, x = 0 outward to +eps and to -eps, advance together as
+    one (2 n_y, n, n) stack: the first n_y slices step by +h, the others by
+    -h, with h, h/2 and h/6 broadcast per slice.  Each direction lists its
+    stage abscissas with the sweep's own arithmetic (x += h, stages at
+    x + h/2 and x + h; the two midpoint stages share one, and a step's
+    endpoint is the next step's start).  The field is evaluated on both lists
+    at once, in blocks of whole steps of about _STAGE_BLOCK points per call:
+    by the exact callable on (abscissas, ys) when present, otherwise by one
+    cubic spline in x through the samples.  RK4 then sweeps the stored stages.
     """
     if steps < 1:
         raise StructuralError("steps must be >= 1")
@@ -211,42 +223,45 @@ def solve_gauge_ode(field: GaugeField, steps: int = 4) -> GaugeTransformation:
     i0 = (n_x - 1) // 2
     if field.exact is not None:
         def a(x):
-            return -np.asarray(field.exact(x[:, None], field.ys[None, :])[0],
+            return -np.asarray(field.exact(x[..., None], field.ys)[0],
                                dtype=np.complex128)
     else:
         spline0 = _cubic_spline(field.xs, field.omega0, axis=0)
 
         def a(x):
             return -spline0(x)
-    block = 2 * max(1, _STAGE_BLOCK // (2 * n_y))  # abscissas per call, whole steps
     n_steps = steps * i0
-    eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (n_y, n, n))
-    gam = np.zeros((n_x, n_y, n, n), dtype=np.complex128)
-    gam[i0] = eye
+    columns = []  # stage abscissas, one column per direction
     for direction in (+1, -1):
         x = field.xs[i0]
-        last = n_x - 1 if direction > 0 else 0
         h = direction * field.dx / steps
-        abscissas = [x]
+        column = [x]
         for _ in range(n_steps):
-            abscissas += [x + h / 2, x + h]
+            column += [x + h / 2, x + h]
             x += h
-        abscissas = np.array(abscissas)
-        # the first call also takes the start abscissa
-        bounds = [0, *range(1 + block, abscissas.size, block), abscissas.size]
-        stages = np.concatenate([a(abscissas[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
-        g = eye
-        j = 0
-        for idx in range(i0 + direction, last + direction, direction):
-            for _ in range(steps):
-                a_start, a_mid, a_end = stages[j], stages[j + 1], stages[j + 2]
-                k1 = a_start @ g
-                k2 = a_mid @ (g + h / 2 * k1)
-                k3 = a_mid @ (g + h / 2 * k2)
-                k4 = a_end @ (g + h * k3)
-                g = g + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                j += 2
-            gam[idx] = g
+        columns.append(column)
+    abscissas = np.array(columns).T  # (2 n_steps + 1, 2)
+    # abscissa rows per call, whole steps; the first call also takes the start
+    block = 2 * max(1, _STAGE_BLOCK // (4 * n_y))
+    bounds = [0, *range(1 + block, abscissas.shape[0], block), abscissas.shape[0]]
+    stages = np.concatenate([a(abscissas[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+    stages = stages.reshape(-1, 2 * n_y, n, n)
+    h = np.repeat([field.dx / steps, -field.dx / steps], n_y)[:, None, None]
+    half, sixth = h / 2, h / 6
+    g = np.broadcast_to(np.eye(n, dtype=np.complex128), (2 * n_y, n, n))
+    gam = np.zeros((n_x, n_y, n, n), dtype=np.complex128)
+    gam[i0] = g[:n_y]
+    j = 0
+    for t in range(1, i0 + 1):
+        for _ in range(steps):
+            a_start, a_mid, a_end = stages[j], stages[j + 1], stages[j + 2]
+            k1 = a_start @ g
+            k2 = a_mid @ (g + half * k1)
+            k3 = a_mid @ (g + half * k2)
+            k4 = a_end @ (g + h * k3)
+            g = g + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            j += 2
+        gam[i0 + t], gam[i0 - t] = g[:n_y], g[n_y:]
     return GaugeTransformation(field.xs, field.ys, gam)
 
 
@@ -390,7 +405,7 @@ def pure_gauge_field(rng: np.random.Generator, n: int = 2, n_x: int = 65,
     def omega(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         f2v = poly(c2, x, y)[..., None, None]
-        e2, e2i = _expm(np.stack([f2v * a2, -f2v * a2]))
+        e2, e2i = _expm(f2v * a2, negative=True)
         d1x, d1y = (d[..., None, None] for d in dpoly(c1, x, y))
         d2x, d2y = (d[..., None, None] for d in dpoly(c2, x, y))
         conj_a1 = e2i @ a1 @ e2
