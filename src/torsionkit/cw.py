@@ -164,6 +164,15 @@ class Representation:
                 out = out @ step
         return out
 
+    def relation_residual(self, word: str, threshold: str) -> float:
+        """||rho(word) - I||; a word whose value overflows raises, naming the threshold."""
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            value = self.evaluate(word)
+        if not np.all(np.isfinite(value)):
+            raise StructuralError(f"relation {word!r} evaluates to a non-finite matrix; "
+                                  f"its residual must be <= {threshold}")
+        return float(sla.norm(value - np.eye(self.rank)))
+
 
 def trivial_representation(rank: int, generators) -> Representation:
     eye = np.eye(rank, dtype=np.complex128)
@@ -178,9 +187,8 @@ def validate_representation(rho: Representation, k: CWData) -> float:
     if missing:
         raise StructuralError(f"representation lacks generators {sorted(missing)}")
     res = 0.0
-    eye = np.eye(rho.rank)
     for w in k.relations:
-        res = max(res, float(sla.norm(rho.evaluate(w) - eye)))
+        res = max(res, rho.relation_residual(w, f"tol_rep {TOL_REP:.0e}"))
     return res
 
 

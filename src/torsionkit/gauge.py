@@ -11,15 +11,23 @@ gauge_transform applies gamma^{-1} omega gamma + gamma^{-1} d gamma with
 4th-order finite differences, and the residual functions quantify the
 temporal-gauge condition (vanishing normal component, x-independent
 tangential component), flatness, and loop monodromies, whose factors are
-evaluated and exponentiated as one (F, n, n) stack.
+evaluated and exponentiated as one (F, n, n) stack and multiplied pairwise,
+later factor on the left, in ceil(log2 F) stacked products.
 
+Every small-matrix product goes through ``_mm``: numpy's matmul makes one
+BLAS call per slice of a stack, so up to rank _MM_RANK_CUT the product is
+written as n whole-stack multiply-adds instead (larger ranks use matmul).
 Every matrix exponential goes through ``_expm``, a scaling-and-squaring Pade
 kernel that treats a whole (..., n, n) stack at once: it picks each slice's
 Pade degree from its 1-norm (Higham 2005), scales only the slices that need
 it, makes one batched solve per degree and squares each slice as often as its
-own scaling asks.  solve_gauge_ode lists each direction's RK4 stage
-abscissas first and evaluates the field on them in blocks of whole steps
-(about _STAGE_BLOCK points per call), then sweeps RK4 over the stored stages.
+own scaling asks.  Asked for the pair exp(a), exp(-a), it takes exp(-a) from
+the same Pade numerator and denominator, since r_m(-X) = r_m(X)^{-1};
+pure_gauge_field's callable uses that for E2 and E2^{-1}.  solve_gauge_ode
+advances both directions from x = 0 as one RK4 sweep over a (2 n_y, n, n)
+stack: it lists each direction's stage abscissas first, evaluates the field
+on both lists in blocks of whole steps (about _STAGE_BLOCK points per call),
+then sweeps RK4 over the stored stages.
 """
 
 from __future__ import annotations
@@ -35,6 +43,14 @@ DET_FLOOR = 1e-8
 # field points per stage evaluation in solve_gauge_ode: bounds the temporaries
 # of the exact callable while keeping its calls few
 _STAGE_BLOCK = 1000
+# largest rank at which _mm's multiply-adds beat numpy's matmul (one BLAS call
+# per slice) on a complex (N, n, n) stack; matmul time over _mm time, 1 BLAS
+# thread, 2-vCPU x86-64, numpy 2.4 with OpenBLAS:
+#   n            2      3      4      5      6
+#   N = 66     2.5x   1.6x   0.9x   0.7x   0.5x
+#   N = 1089   4.6x   2.3x   1.0x   0.7x   0.4x
+#   N = 4257   3.1x   1.3x   0.5x   0.4x   0.3x
+_MM_RANK_CUT = 3
 
 # Higham, "The scaling and squaring method for the matrix exponential
 # revisited", SIAM J. Matrix Anal. Appl. 26 (2005): the largest
@@ -67,24 +83,41 @@ def _cubic_spline(*args, **kwargs):
     return CubicSpline(*args, **kwargs)
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on (broadcastable) stacks of small matrices.
+
+    numpy's matmul makes one BLAS call per slice of a stack.  Up to rank
+    _MM_RANK_CUT the product is instead n whole-stack multiply-adds,
+    sum_j a[..., :, j] b[..., j, :], which agrees with matmul up to rounding;
+    larger ranks go to matmul.
+    """
+    n = a.shape[-1]
+    if n > _MM_RANK_CUT:
+        return a @ b
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, n):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
+
+
 def _pade_uv(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Odd and even parts U, V of the degree-m Pade numerator at a stack a."""
     b = _PADE[m]
     eye = np.eye(a.shape[-1])
-    a2 = a @ a
+    a2 = _mm(a, a)
     if m == 13:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) \
+        a4 = _mm(a2, a2)
+        a6 = _mm(a4, a2)
+        u = _mm(a, _mm(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
+                + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = _mm(a6, b[12] * a6 + b[10] * a4 + b[8] * a2) \
             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
         return u, v
     # powers a^0, a^2, ..., a^(m-1); U = a sum b_{2k+1} a^2k, V = sum b_2k a^2k
     powers = [eye, a2]
     while len(powers) < (m + 1) // 2:
-        powers.append(powers[-1] @ a2)
-    u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+        powers.append(_mm(powers[-1], a2))
+    u = _mm(a, sum(b[2 * k + 1] * p for k, p in enumerate(powers)))
     v = sum(b[2 * k] * p for k, p in enumerate(powers))
     return u, v
 
@@ -94,7 +127,8 @@ def _expm(a, negative: bool = False):
 
     Each slice gets the lowest Pade degree m in {3, 5, 7, 9, 13} whose theta_m
     bounds its 1-norm; slices beyond theta_13 are scaled by their own 2^-s and
-    squared s times.  One batched solve per degree group.
+    squared s times.  One batched solve per degree group and sign; the
+    squarings are stacked products (_mm).
 
     With negative=True it returns the pair (exp(a), exp(-a)).  The diagonal
     Pade approximant satisfies r_m(-X) = r_m(X)^{-1}: -a has the same norms,
@@ -132,7 +166,8 @@ def _expm(a, negative: bool = False):
     for k in range(1, int(s.max()) + 1):
         idx = np.flatnonzero(s >= k)
         for out in outs:
-            out[idx] = out[idx] @ out[idx]
+            sq = out[idx]
+            out[idx] = _mm(sq, sq)
     outs = [out.reshape(a.shape) for out in outs]
     return tuple(outs) if negative else outs[0]
 
@@ -255,10 +290,10 @@ def solve_gauge_ode(field: GaugeField, steps: int = 4) -> GaugeTransformation:
     for t in range(1, i0 + 1):
         for _ in range(steps):
             a_start, a_mid, a_end = stages[j], stages[j + 1], stages[j + 2]
-            k1 = a_start @ g
-            k2 = a_mid @ (g + half * k1)
-            k3 = a_mid @ (g + half * k2)
-            k4 = a_end @ (g + h * k3)
+            k1 = _mm(a_start, g)
+            k2 = _mm(a_mid, g + half * k1)
+            k3 = _mm(a_mid, g + half * k2)
+            k4 = _mm(a_end, g + h * k3)
             g = g + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
             j += 2
         gam[i0 + t], gam[i0 - t] = g[:n_y], g[n_y:]
@@ -296,8 +331,8 @@ def gauge_transform(field: GaugeField, gt: GaugeTransformation) -> GaugeField:
     gi = np.linalg.inv(g)
     dgx = _deriv4(g, field.dx, axis=0)
     dgy = _deriv4(g, field.dy, axis=1)
-    om0 = gi @ field.omega0 @ g + gi @ dgx
-    om1 = gi @ field.omega1 @ g + gi @ dgy
+    om0 = _mm(_mm(gi, field.omega0), g) + _mm(gi, dgx)
+    om1 = _mm(_mm(gi, field.omega1), g) + _mm(gi, dgy)
     return GaugeField(field.xs, field.ys, om0, om1)
 
 
@@ -305,7 +340,7 @@ def curvature_residual(field: GaugeField) -> float:
     """max over the grid of || d_x omega_1 - d_y omega_0 + [omega_0, omega_1] ||."""
     dx_o1 = _deriv4(field.omega1, field.dx, axis=0)
     dy_o0 = _deriv4(field.omega0, field.dy, axis=1)
-    comm = field.omega0 @ field.omega1 - field.omega1 @ field.omega0
+    comm = _mm(field.omega0, field.omega1) - _mm(field.omega1, field.omega0)
     f = dx_o1 - dy_o0 + comm
     return float(np.max(np.linalg.norm(f, axis=(2, 3))))
 
@@ -327,8 +362,12 @@ def monodromy(field: GaugeField, path, substeps: int = 16) -> np.ndarray:
     from one call of the exact callable when present, else from cubic
     splines through the samples: along x at the grid row of a horizontal
     segment, along y at the grid column of a vertical one.  All factors are
-    exponentiated as one stack, then multiplied in path order.
+    exponentiated as one stack and multiplied in path order by
+    _ordered_product: pairwise rounds of stacked products, later factor on
+    the left, ceil(log2 F) rounds for F factors.
     """
+    if substeps < 1:
+        raise StructuralError("substeps must be >= 1")
     pts = np.array(list(path), dtype=int).reshape(-1, 2)
     if tuple(pts[0]) != tuple(pts[-1]):
         raise StructuralError("monodromy needs a closed path")
@@ -358,10 +397,22 @@ def monodromy(field: GaugeField, path, substeps: int = 16) -> np.ndarray:
             along_y = _cubic_spline(field.ys, om[cols], axis=1)(ym[ver])  # (cols, V, S, n, n)
             vals[ver] = along_y[col_of[:, None], np.arange(ver.size)[:, None], k]
     factors = _expm(-(o0 * dx[..., None, None] + o1 * dy[..., None, None]))
-    out = np.eye(n, dtype=np.complex128)
-    for f in factors.reshape(-1, n, n):
-        out = f @ out
-    return out
+    return _ordered_product(factors.reshape(-1, n, n))
+
+
+def _ordered_product(factors: np.ndarray) -> np.ndarray:
+    """f_{F-1} ... f_1 f_0 of an (F, n, n) stack in ceil(log2 F) stacked products.
+
+    Each round multiplies neighbours pairwise, the later factor on the left;
+    an odd last factor is carried to the next round.  No factors give I.
+    """
+    if factors.shape[0] == 0:
+        return np.eye(factors.shape[-1], dtype=factors.dtype)
+    while factors.shape[0] > 1:
+        even = factors.shape[0] // 2 * 2
+        pairs = _mm(factors[1:even:2], factors[0:even:2])
+        factors = np.concatenate([pairs, factors[even:]])
+    return factors[0]
 
 
 def rectangle_path(field: GaugeField, ix0: int, iy0: int, ix1: int, iy1: int):
@@ -386,8 +437,8 @@ def pure_gauge_field(rng: np.random.Generator, n: int = 2, n_x: int = 65,
         omega = (df1) E2^{-1} A1 E2 + (df2) A2,   E2 = exp(f2 A2),
     so the samples and the exact callable are exact and the curvature
     vanishes identically.  The callable evaluates whole (x, y) arrays with one
-    batched _expm call on the stacked arguments +f2 A2 and -f2 A2; the samples
-    are one call on the meshgrid.
+    batched _expm call that returns exp(f2 A2) and exp(-f2 A2) from one Pade
+    evaluation; the samples are one call on the meshgrid.
     Coefficient ranges keep the 4th-order finite-difference floor of the
     65 x 65 default grid safely below 1e-7.
     """
@@ -408,7 +459,7 @@ def pure_gauge_field(rng: np.random.Generator, n: int = 2, n_x: int = 65,
         e2, e2i = _expm(f2v * a2, negative=True)
         d1x, d1y = (d[..., None, None] for d in dpoly(c1, x, y))
         d2x, d2y = (d[..., None, None] for d in dpoly(c2, x, y))
-        conj_a1 = e2i @ a1 @ e2
+        conj_a1 = _mm(_mm(e2i, a1), e2)
         return d1x * conj_a1 + d2x * a2, d1y * conj_a1 + d2y * a2
 
     xs = np.linspace(-eps, eps, n_x)

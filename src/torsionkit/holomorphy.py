@@ -95,9 +95,8 @@ class RepresentationCurve:
                        for k in range(samples - 1)] if samples > 1 else [0.0]
         for z in pts:
             rep = self.at(z)
-            eye = np.eye(self.rank)
             for w in self.relations:
-                worst = max(worst, float(sla.norm(rep.evaluate(w) - eye)))
+                worst = max(worst, rep.relation_residual(w, f"{tol:.0e} at z = {z}"))
         if worst > tol:
             raise StructuralError(f"curve leaves the representation variety: {worst:.2e}")
         return worst

@@ -180,6 +180,36 @@ def test_torsion_rejects_a_relation_violation_before_any_report(tmp_path, capsys
         "error": "representation violates a relation beyond tol_rep", "exit": 2}
 
 
+def overflowing_relation_inputs(tmp_path):
+    """One-cell circle with relation t^3 and rho(t) = 1e200: t^3 overflows."""
+    cw = write(tmp_path, "cw.json", {**CIRCLE_CW, "relations": ["t^3"]})
+    rep = write(tmp_path, "rep.json", rep_doc({"t": [[1e200]]}))
+    curve = write(tmp_path, "curve.json", {**CURVE, "relations": ["t^3"],
+                                           "generators": {"t": [[[[1e200, 0.0]]],
+                                                                [[[1.0, 0.0]]]]}})
+    return cw, rep, curve
+
+
+def test_torsion_rejects_an_overflowing_relation(tmp_path, capsys):
+    cw, rep, _ = overflowing_relation_inputs(tmp_path)
+    assert main(["torsion", cw, rep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "relation 't^3' evaluates to a non-finite matrix; "
+                 "its residual must be <= tol_rep 1e-10", "exit": 2}
+
+
+def test_holo_rejects_an_overflowing_relation(tmp_path, capsys):
+    cw, _, curve = overflowing_relation_inputs(tmp_path)
+    assert main(["holo", cw, curve]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "relation 't^3' evaluates to a non-finite matrix; "
+                 "its residual must be <= 1e-10 at z = 0.0", "exit": 2}
+
+
 def test_parser_is_built_once(tmp_path, monkeypatch, capsys):
     built = []
     build = cli.build_parser

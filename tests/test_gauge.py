@@ -9,7 +9,7 @@ from torsionkit import gauge
 from torsionkit.gauge import (GaugeField, GaugeTransformation, curvature_residual,
                               gauge_transform, monodromy, pure_gauge_field,
                               rectangle_path, solve_gauge_ode, temporal_residual,
-                              _deriv4, _expm)
+                              _deriv4, _expm, _mm, _ordered_product)
 from torsionkit.linalg import StructuralError
 
 from oracles import (gauge_ode_commuting_oracle, gauge_ode_per_line_oracle,
@@ -328,3 +328,133 @@ def test_monodromy_matches_per_factor_product():
         for field, omega_at in ((fld, fld.exact), (samples, spline_at)):
             want = monodromy_per_factor_oracle(omega_at, fld.xs, fld.ys, path, 3)
             assert np.max(np.abs(monodromy(field, path, substeps=3) - want)) < 1e-14
+
+
+def test_monodromy_rejects_nonpositive_substeps():
+    fld = constant_field(np.zeros((2, 2), complex), n_x=17, n_y=9)
+    path = rectangle_path(fld, 2, 2, 10, 6)
+    for substeps in (0, -2):
+        with pytest.raises(StructuralError, match="substeps must be >= 1"):
+            monodromy(fld, path, substeps=substeps)
+
+
+# nonzero entries at least 1e-150 in modulus: products stay clear of underflow,
+# where the relative bound below does not apply
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-150, 1.0), st.floats(-1.0, -1e-150))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), count=st.integers(1, 5), complex_=st.booleans(),
+       shape=st.sampled_from(["stack-stack", "matrix-stack", "stack-matrix"]),
+       data=st.data())
+def test_mm_matches_matmul_within_rounding(n, count, complex_, shape, data):
+    # both sides compute each entry as an n-term dot product; in complex
+    # arithmetic each errs by at most sqrt(2) gamma_{n+2} (|a| |b|) entrywise
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.6)
+    def draw(dims):
+        x = data.draw(arrays(float, dims, elements=_ENTRY))
+        return x + 1j * data.draw(arrays(float, dims, elements=_ENTRY)) if complex_ else x
+
+    a = draw((n, n) if shape == "matrix-stack" else (count, n, n))
+    b = draw((n, n) if shape == "stack-matrix" else (count, n, n))
+    got, want = _mm(a, b), a @ b
+    assert got.shape == want.shape and got.dtype == want.dtype
+    k = (n + 2) * np.finfo(float).eps
+    bound = 2 * np.sqrt(2) * k / (1 - k) * (np.abs(a) @ np.abs(b))
+    assert np.all(np.abs(got - want) <= bound)
+    if n > gauge._MM_RANK_CUT:
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 6), count=st.integers(1, 4), complex_=st.booleans(),
+       log_scale=st.floats(-6.0, 3.0), data=st.data())
+def test_expm_negative_pair_equals_expm_of_minus_a(n, count, complex_, log_scale, data):
+    unit = st.floats(-1.0, 1.0)
+    a = data.draw(arrays(float, (count, n, n), elements=unit))
+    if complex_:
+        a = a + 1j * data.draw(arrays(float, (count, n, n), elements=unit))
+    a = 10.0 ** log_scale * a
+    pos, neg = _expm(a, negative=True)
+    # bytes, not values: overflowing slices hold inf and nan
+    assert pos.tobytes() == _expm(a).tobytes() and neg.tobytes() == _expm(-a).tobytes()
+
+
+def test_expm_negative_pair_with_squaring():
+    rng = np.random.default_rng(13)
+    mixed = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    mixed /= np.abs(mixed).sum(axis=0).max()
+    # every Pade degree, then degree 13 with s = 1, 3, 6, at ranks 2 and 3
+    for a in (np.array([c * mixed for c in (0.01, 0.2, 0.9, 2.0, 5.0, 10.0, 40.0, 300.0)]),
+              np.array([c * mixed[:2, :2] for c in (0.5, 12.0, 90.0)])):
+        pos, neg = _expm(a, negative=True)
+        assert np.array_equal(pos, _expm(a)) and np.array_equal(neg, _expm(-a))
+        assert _expm_misses(-a).size == 0
+
+
+def test_ordered_product_matches_a_factor_loop():
+    rng = np.random.default_rng(14)
+    for count in (1, 2, 7, 12):
+        factors = _expm(0.3 * (rng.standard_normal((count, 2, 2))
+                               + 1j * rng.standard_normal((count, 2, 2))))
+        want = np.eye(2)
+        for f in factors:
+            want = f @ want
+        assert np.max(np.abs(_ordered_product(factors) - want)) < 1e-14
+    assert np.array_equal(_ordered_product(np.zeros((0, 2, 2), complex)), np.eye(2))
+
+
+def test_monodromy_pairwise_product_matches_per_factor_oracle():
+    # a there-and-back path has two segments: F = 2 substeps.  F = 2 and 6
+    # carry an odd factor (6 -> 3 -> 2 -> 1); F = 8 pairs every round
+    fld = pure_gauge_field(np.random.default_rng(15), n=2, n_x=17, n_y=9)
+    path = [(8, 3), (9, 3), (8, 3)]
+    for substeps in (1, 3, 4):
+        want = monodromy_per_factor_oracle(fld.exact, fld.xs, fld.ys, path, substeps)
+        assert np.max(np.abs(monodromy(fld, path, substeps=substeps) - want)) < 1e-14
+
+
+def test_exact_callable_pades_each_point_once(monkeypatch):
+    fld = pure_gauge_field(np.random.default_rng(16), n=2, n_x=17, n_y=9)
+    slices = []
+    pade_uv = gauge._pade_uv
+
+    def counted(a, m):
+        slices.append(a.shape[0])
+        return pade_uv(a, m)
+
+    monkeypatch.setattr(gauge, "_pade_uv", counted)
+    x, y = np.meshgrid(np.linspace(-0.5, 0.5, 21), np.linspace(0.0, 1.0, 13))
+    fld.exact(x, y)
+    assert sum(slices) == x.size  # the +f2 A2 and -f2 A2 sides share one Pade
+
+
+def test_monodromy_multiplies_in_log_rounds(monkeypatch):
+    fld = pure_gauge_field(np.random.default_rng(17), n=2, n_x=33, n_y=33)
+    path = rectangle_path(fld, 16, 4, 24, 20)
+    substeps = 12
+    n_factors = (len(path) - 1) * substeps
+    products, elsewhere = [], []
+    mm = gauge._mm
+
+    def counted_mm(a, b):
+        if not elsewhere:
+            products.append(a.shape)
+        return mm(a, b)
+
+    def uncounted(fn):
+        # products inside the field evaluation and the exponentials are not the product's
+        def wrapper(*args, **kwargs):
+            elsewhere.append(1)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elsewhere.pop()
+        return wrapper
+
+    monkeypatch.setattr(gauge, "_mm", counted_mm)
+    monkeypatch.setattr(gauge, "_expm", uncounted(gauge._expm))
+    monkeypatch.setattr(fld, "exact", uncounted(fld.exact))
+    monodromy(fld, path, substeps=substeps)
+    assert 0 < len(products) <= int(np.ceil(np.log2(n_factors)))
+    assert products[0][0] == n_factors // 2
