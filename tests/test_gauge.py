@@ -375,9 +375,10 @@ def test_expm_negative_pair_equals_expm_of_minus_a(n, count, complex_, log_scale
     if complex_:
         a = a + 1j * data.draw(arrays(float, (count, n, n), elements=unit))
     a = 10.0 ** log_scale * a
-    pos, neg = _expm(a, negative=True)
-    # bytes, not values: overflowing slices hold inf and nan
-    assert pos.tobytes() == _expm(a).tobytes() and neg.tobytes() == _expm(-a).tobytes()
+    # bytes, not values: at the largest scales slices overflow to inf and nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos, neg = _expm(a, negative=True)
+        assert pos.tobytes() == _expm(a).tobytes() and neg.tobytes() == _expm(-a).tobytes()
 
 
 def test_expm_negative_pair_with_squaring():

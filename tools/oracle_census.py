@@ -126,7 +126,7 @@ def _worst(rows: dict):
 def compare(path_a: str, path_b: str) -> int:
     a, b = _load(path_a), _load(path_b)
     status = 0
-    bytes_moved = shift = 0.0
+    moved_ops, shift = 0, 0.0
     shift_at = None
     for key in sorted(a.keys() | b.keys()):
         ra, rb = a.get(key), b.get(key)
@@ -145,15 +145,15 @@ def compare(path_a: str, path_b: str) -> int:
                 if ma is not None and mb is not None and abs(mb - ma) >= shift:
                     shift, shift_at = abs(mb - ma), (key, name)
         if moved:
-            bytes_moved += 1
+            moved_ops += 1
             print(f"{key} {ra['kind']}: " + "; ".join(moved))
     for label, path, rows in (("A", path_a, a), ("B", path_b, b)):
         failed = sum(r["verdict"] != "ok" for r in rows.values())
         worst = _worst(rows)
-        text = (f"worst margin {worst[0]:.6g} of tolerance ({worst[2]}, op {worst[1]})"
+        text = (f"worst margin {worst[0]:.9g} of tolerance ({worst[2]}, op {worst[1]})"
                 if worst else "no margins recorded")
         print(f"{label} {path}: {len(rows)} ops, {failed} failed, {text}")
-    print(f"ops moved: {int(bytes_moved)}; largest margin shift {shift:.3g} of tolerance"
+    print(f"ops moved: {moved_ops}; largest margin shift {shift:.3g} of tolerance"
           + (f" ({shift_at[1]}, op {shift_at[0]})" if shift_at else ""))
     return status
 
