@@ -17,21 +17,32 @@ later factor on the left, in ceil(log2 F) stacked products.
 Every small-matrix product goes through ``_mm``: numpy's matmul makes one
 BLAS call per slice of a stack, so up to rank _MM_RANK_CUT the product is
 written as n whole-stack multiply-adds instead (larger ranks use matmul).
-Every matrix exponential goes through ``_expm``, a scaling-and-squaring Pade
-kernel that treats a whole (..., n, n) stack at once: it picks each slice's
-Pade degree from its 1-norm (Higham 2005), scales only the slices that need
-it, makes one batched solve per degree and squares each slice as often as its
-own scaling asks.  Asked for the pair exp(a), exp(-a), it takes exp(-a) from
-the same Pade numerator and denominator, since r_m(-X) = r_m(X)^{-1};
-pure_gauge_field's callable uses that for E2 and E2^{-1}.  solve_gauge_ode
-advances both directions from x = 0 as one RK4 sweep over a (2 n_y, n, n)
-stack: it lists each direction's stage abscissas first, evaluates the field
-on both lists in blocks of whole steps (about _STAGE_BLOCK points per call),
-then sweeps RK4 over the stored stages.
+Every matrix exponential goes through ``_expm``, a scaling-and-squaring
+kernel that treats a whole (..., n, n) stack at once and squares each slice
+as often as its own scaling asks.  The path depends only on the rank.  At
+rank 2 it is the Cayley-Hamilton closed form
+e^mu (cosh sqrt(q) I + sinh sqrt(q) / sqrt(q) (X - mu I)), mu = tr X / 2,
+q = -det(X - mu I), after scaling slices beyond the 1-norm _THETA2: a few
+whole-stack operations and no LAPACK call.  At ranks >= 3 it picks each
+slice's Pade degree from its 1-norm (Higham 2005) and makes one batched solve
+per degree.  Asked for the pair exp(a), exp(-a), it takes exp(-a) from the
+same c(q), s(q) at rank 2, and from the same Pade numerator and denominator
+at ranks >= 3, since r_m(-X) = r_m(X)^{-1}; pure_gauge_field's callable uses
+that for E2 and E2^{-1}.  Inverses and determinants of rank-2 stacks are
+written out too (_inv, _det).
+
+solve_gauge_ode advances both directions from x = 0 together over a
+(2 n_y, n, n) stack: it lists each direction's stage abscissas first and
+evaluates the field on both lists in blocks of whole steps (about
+_STAGE_BLOCK points per call).  The ODE is linear, so every RK4 substep is
+one propagator matrix; all of them are built as one stack, folded pairwise
+per grid interval and turned into gamma by a prefix product over the
+intervals, in ceil(log2) rounds of stacked products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,6 +81,32 @@ _PADE = {
          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
          16380.0, 182.0, 1.0),
 }
+
+
+# Rank 2: the 1-norm above which _expm scales a slice by 2^-s before the
+# Cayley-Hamilton closed form.  Largest error max|E - exp(A)| / max|exp(A)|
+# against 50-digit mpmath, 400 draws in each of six classes (complex, real,
+# triangular with a 30x off-diagonal entry, similarity transforms of Jordan
+# blocks and of near-Jordan blocks, near-rotations), 1-norms log-uniform in
+# each column's range; the last row is the Pade path of ranks >= 3:
+#   theta2        1e-8..1    1..6       6..100
+#   1             4.4e-16    2.6e-15    2.5e-13
+#   2             4.4e-16    1.4e-15    1.5e-13
+#   4             4.4e-16    1.2e-15    1.4e-13
+#   8             4.4e-16    7.3e-16    1.6e-13
+#   16            4.4e-16    7.3e-16    1.7e-13
+#   none          4.4e-16    7.3e-16    1.0e-13
+#   Pade          4.5e-16    8.6e-15    1.7e-13
+# 4 is the smallest theta2 whose errors are within rounding of the best in
+# every column, and at or below the Pade path's.  No scaling at all would let
+# cosh sqrt(q) overflow once |Re sqrt(q)| > 710 even where exp(A) is finite;
+# after scaling, |mu| <= 4 and |sqrt(q)| <= 8.
+_THETA2 = 4.0
+# below |q| = _Q_SERIES, c(q) and s(q) come from 5 Taylor terms; the first
+# term left out is below 3e-17 relative
+_Q_SERIES = 1e-2
+_C_SERIES = tuple(1.0 / math.factorial(2 * k) for k in range(5))
+_S_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(5))
 
 
 def _cubic_spline(*args, **kwargs):
@@ -122,19 +159,64 @@ def _pade_uv(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+def _cosh_sinhc(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c(q) = cosh sqrt(q) and s(q) = sinh sqrt(q) / sqrt(q), slice by slice.
+
+    Both are entire functions of q, so no branch of sqrt(q) is chosen: below
+    |q| = _Q_SERIES they come from their Taylor series (q = 0 included), above
+    it from cosh and sinh of the principal root, or for real q < 0 from cos
+    and sin of sqrt(-q), so that real q gives real c and s.
+    """
+    c = np.full_like(q, _C_SERIES[-1])
+    s = np.full_like(q, _S_SERIES[-1])
+    for ck, sk in zip(_C_SERIES[-2::-1], _S_SERIES[-2::-1]):
+        c = c * q + ck
+        s = s * q + sk
+    if np.iscomplexobj(q):
+        branches = ((np.abs(q) >= _Q_SERIES, 1, np.cosh, np.sinh),)
+    else:
+        branches = ((q >= _Q_SERIES, 1, np.cosh, np.sinh),
+                    (q <= -_Q_SERIES, -1, np.cos, np.sin))
+    for mask, sign, even, odd in branches:
+        r = np.sqrt(sign * q[mask])
+        c[mask] = even(r)
+        s[mask] = odd(r) / r
+    return c, s
+
+
+def _expm2(b: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """exp of an (N, 2, 2) stack from c(q), s(q): e^mu (c I + s N), N = b - mu I."""
+    mu = (b[:, 0, 0] + b[:, 1, 1]) / 2
+    d = (b[:, 0, 0] - b[:, 1, 1]) / 2  # N = [[d, b01], [b10, -d]]
+    e = np.exp(mu)
+    es = e * s
+    out = np.empty_like(b)
+    out[:, 0, 0] = e * (c + s * d)
+    out[:, 1, 1] = e * (c - s * d)
+    out[:, 0, 1] = es * b[:, 0, 1]
+    out[:, 1, 0] = es * b[:, 1, 0]
+    return out
+
+
 def _expm(a, negative: bool = False):
     """exp of every slice of an (..., n, n) stack, by batched scaling and squaring.
 
-    Each slice gets the lowest Pade degree m in {3, 5, 7, 9, 13} whose theta_m
-    bounds its 1-norm; slices beyond theta_13 are scaled by their own 2^-s and
-    squared s times.  One batched solve per degree group and sign; the
-    squarings are stacked products (_mm).
+    Rank 2 uses the Cayley-Hamilton closed form (Moler & Van Loan, SIAM Rev.
+    45 (2003)): with mu = tr X / 2, N = X - mu I and q = -det N, N^2 = q I, so
+    exp(X) = e^mu (c(q) I + s(q) N) with c, s from _cosh_sinhc.  Slices whose
+    1-norm exceeds _THETA2 are scaled by their own 2^-s first.  Ranks >= 3
+    give each slice the lowest Pade degree m in {3, 5, 7, 9, 13} whose
+    theta_m bounds its 1-norm; slices beyond theta_13 are scaled by 2^-s, and
+    each degree group makes one batched solve per sign.  Either way each
+    slice is squared s times in stacked products (_mm); the path depends only
+    on the rank.
 
-    With negative=True it returns the pair (exp(a), exp(-a)).  The diagonal
-    Pade approximant satisfies r_m(-X) = r_m(X)^{-1}: -a has the same norms,
-    degrees and scalings, V(-X) = V(X) and U(-X) = -U(X) bit for bit, so
-    exp(-a) is solve(V + U, V - U) from the same U, V, squared as often as
-    exp(a), and equals _expm(-a) bit for bit.
+    With negative=True it returns the pair (exp(a), exp(-a)).  -a has the
+    same norms and scalings.  At rank 2, q(-X) = q(X) bit for bit, so exp(-a)
+    reuses c and s; at rank >= 3 the diagonal Pade approximant satisfies
+    r_m(-X) = r_m(X)^{-1} with V(-X) = V(X) and U(-X) = -U(X) bit for bit, so
+    exp(-a) is solve(V + U, V - U) from the same U, V.  Both ways exp(-a)
+    equals _expm(-a) bit for bit.
     """
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.inexact):
@@ -145,24 +227,36 @@ def _expm(a, negative: bool = False):
     flat = a.reshape(-1, n, n)
     norms = np.abs(flat).sum(axis=-2).max(axis=-1)
     norms[~np.isfinite(norms)] = 0.0  # non-finite slices stay non-finite
-    degree = np.full(norms.shape, 13)
-    for m in (9, 7, 5, 3):
-        degree[norms <= _THETA[m]] = m
-    big = norms > _THETA[13]
+    theta = _THETA2 if n == 2 else _THETA[13]
+    big = norms > theta
     s = np.zeros(norms.shape, dtype=int)
-    s[big] = np.ceil(np.log2(norms[big] / _THETA[13])).astype(int)
-    outs = [np.empty_like(flat) for _ in range(1 + negative)]
-    for m in _PADE:
-        idx = np.flatnonzero(degree == m)
-        if idx.size == 0:
-            continue
-        b = flat[idx]
-        if m == 13:
-            b = np.ldexp(1.0, -s[idx])[:, None, None] * b
-        u, v = _pade_uv(b, m)
-        outs[0][idx] = np.linalg.solve(v - u, v + u)
-        if negative:
-            outs[1][idx] = np.linalg.solve(v + u, v - u)
+    s[big] = np.ceil(np.log2(norms[big] / theta)).astype(int)
+    if n == 2:
+        # scaled part by part: complex-times-real would pass through complex
+        # multiplication, whose signed zeros can make 2^-s (-X) differ from
+        # -(2^-s X); this way -a scales to exactly -b
+        b = np.ascontiguousarray(flat)
+        scale = np.ldexp(1.0, -s).astype(b.real.dtype)[:, None, None]
+        b = (b.view(b.real.dtype) * scale).view(b.dtype)
+        d = (b[:, 0, 0] - b[:, 1, 1]) / 2
+        c, sh = _cosh_sinhc(d * d + b[:, 0, 1] * b[:, 1, 0])
+        outs = [_expm2(b, c, sh)] + ([_expm2(-b, c, sh)] if negative else [])
+    else:
+        degree = np.full(norms.shape, 13)
+        for m in (9, 7, 5, 3):
+            degree[norms <= _THETA[m]] = m
+        outs = [np.empty_like(flat) for _ in range(1 + negative)]
+        for m in _PADE:
+            idx = np.flatnonzero(degree == m)
+            if idx.size == 0:
+                continue
+            b = flat[idx]
+            if m == 13:
+                b = np.ldexp(1.0, -s[idx])[:, None, None] * b
+            u, v = _pade_uv(b, m)
+            outs[0][idx] = np.linalg.solve(v - u, v + u)
+            if negative:
+                outs[1][idx] = np.linalg.solve(v + u, v - u)
     for k in range(1, int(s.max()) + 1):
         idx = np.flatnonzero(s >= k)
         for out in outs:
@@ -170,6 +264,23 @@ def _expm(a, negative: bool = False):
             out[idx] = _mm(sq, sq)
     outs = [out.reshape(a.shape) for out in outs]
     return tuple(outs) if negative else outs[0]
+
+
+def _det(a: np.ndarray) -> np.ndarray:
+    """Determinants of an (..., n, n) stack; rank 2 by a00 a11 - a01 a10."""
+    if a.shape[-1] != 2:
+        return np.linalg.det(a)
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """Inverses of an (..., n, n) stack; rank 2 by the adjugate over the determinant."""
+    if a.shape[-1] != 2:
+        return np.linalg.inv(a)
+    adj = np.empty_like(a)
+    adj[..., 0, 0], adj[..., 1, 1] = a[..., 1, 1], a[..., 0, 0]
+    adj[..., 0, 1], adj[..., 1, 0] = -a[..., 0, 1], -a[..., 1, 0]
+    return adj / _det(a)[..., None, None]
 
 
 @dataclass
@@ -232,7 +343,7 @@ class GaugeTransformation:
         fail = np.max(np.abs(self.gamma[i0] - np.eye(n)))
         if fail > 1e-12:
             raise StructuralError("gamma(0, y) must be the identity")
-        dets = np.linalg.det(self.gamma.reshape(-1, n, n))
+        dets = _det(self.gamma)
         if np.min(np.abs(dets)) < DET_FLOOR:
             raise StructuralError("gamma degenerates on the grid")
 
@@ -249,7 +360,17 @@ def solve_gauge_ode(field: GaugeField, steps: int = 4) -> GaugeTransformation:
     endpoint is the next step's start).  The field is evaluated on both lists
     at once, in blocks of whole steps of about _STAGE_BLOCK points per call:
     by the exact callable on (abscissas, ys) when present, otherwise by one
-    cubic spline in x through the samples.  RK4 then sweeps the stored stages.
+    cubic spline in x through the samples.
+
+    The ODE is linear, so one RK4 substep is one matrix, g -> P g with
+        K_2 = A_mid + (h/2) A_mid A_start,  K_3 = A_mid + (h/2) A_mid K_2,
+        K_4 = A_end + h A_end K_3,  P = I + (h/6) (A_start + 2 K_2 + 2 K_3 + K_4).
+    All substeps' P are built as one stack in three stacked products; each
+    grid interval's steps propagators are multiplied pairwise, later on the
+    left (_ordered_product), and gamma at the i0 grid points of each side is
+    the inclusive prefix product of the interval propagators
+    (_prefix_products): 3 + ceil(log2 steps) + ceil(log2 i0) stacked products
+    in all, with no loop over substeps.
     """
     if steps < 1:
         raise StructuralError("steps must be >= 1")
@@ -282,21 +403,20 @@ def solve_gauge_ode(field: GaugeField, steps: int = 4) -> GaugeTransformation:
     stages = np.concatenate([a(abscissas[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
     stages = stages.reshape(-1, 2 * n_y, n, n)
     h = np.repeat([field.dx / steps, -field.dx / steps], n_y)[:, None, None]
-    half, sixth = h / 2, h / 6
-    g = np.broadcast_to(np.eye(n, dtype=np.complex128), (2 * n_y, n, n))
-    gam = np.zeros((n_x, n_y, n, n), dtype=np.complex128)
-    gam[i0] = g[:n_y]
-    j = 0
-    for t in range(1, i0 + 1):
-        for _ in range(steps):
-            a_start, a_mid, a_end = stages[j], stages[j + 1], stages[j + 2]
-            k1 = _mm(a_start, g)
-            k2 = _mm(a_mid, g + half * k1)
-            k3 = _mm(a_mid, g + half * k2)
-            k4 = _mm(a_end, g + h * k3)
-            g = g + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-            j += 2
-        gam[i0 + t], gam[i0 - t] = g[:n_y], g[n_y:]
+    # one propagator per substep: k_i = K_i g with K_1 = A_start, so
+    # g_next = (I + h/6 (K_1 + 2 K_2 + 2 K_3 + K_4)) g
+    a_start, a_mid, a_end = stages[:-1:2], stages[1::2], stages[2::2]
+    k2 = a_mid + h / 2 * _mm(a_mid, a_start)
+    k3 = a_mid + h / 2 * _mm(a_mid, k2)
+    k4 = a_end + h * _mm(a_end, k3)
+    props = np.eye(n) + h / 6 * (a_start + 2 * k2 + 2 * k3 + k4)
+    # (substep, interval, line, n, n): one propagator per grid interval, then
+    # gamma at each grid point as the product over the intervals before it
+    per_interval = _ordered_product(props.reshape(i0, steps, 2 * n_y, n, n).swapaxes(0, 1))
+    outward = _prefix_products(per_interval)
+    gam = np.empty((n_x, n_y, n, n), dtype=np.complex128)
+    gam[i0] = np.eye(n)
+    gam[i0 + 1:], gam[i0 - 1::-1] = outward[:, :n_y], outward[:, n_y:]
     return GaugeTransformation(field.xs, field.ys, gam)
 
 
@@ -328,7 +448,7 @@ def gauge_transform(field: GaugeField, gt: GaugeTransformation) -> GaugeField:
             np.max(np.abs(field.ys - gt.ys)) > 1e-12:
         raise StructuralError("field and transformation grids do not match")
     g = gt.gamma
-    gi = np.linalg.inv(g)
+    gi = _inv(g)
     dgx = _deriv4(g, field.dx, axis=0)
     dgy = _deriv4(g, field.dy, axis=1)
     om0 = _mm(_mm(gi, field.omega0), g) + _mm(gi, dgx)
@@ -369,6 +489,11 @@ def monodromy(field: GaugeField, path, substeps: int = 16) -> np.ndarray:
     if substeps < 1:
         raise StructuralError("substeps must be >= 1")
     pts = np.array(list(path), dtype=int).reshape(-1, 2)
+    n_x, n_y = field.xs.size, field.ys.size
+    off = np.flatnonzero((pts < 0).any(axis=1) | (pts >= (n_x, n_y)).any(axis=1))
+    if off.size:
+        raise StructuralError(f"path point {tuple(int(i) for i in pts[off[0]])} is off "
+                              f"the {n_x} x {n_y} grid")
     if tuple(pts[0]) != tuple(pts[-1]):
         raise StructuralError("monodromy needs a closed path")
     if np.any(np.abs(np.diff(pts, axis=0)).sum(axis=1) != 1):
@@ -401,10 +526,11 @@ def monodromy(field: GaugeField, path, substeps: int = 16) -> np.ndarray:
 
 
 def _ordered_product(factors: np.ndarray) -> np.ndarray:
-    """f_{F-1} ... f_1 f_0 of an (F, n, n) stack in ceil(log2 F) stacked products.
+    """f_{F-1} ... f_1 f_0 over the leading axis of an (F, ..., n, n) stack.
 
     Each round multiplies neighbours pairwise, the later factor on the left;
-    an odd last factor is carried to the next round.  No factors give I.
+    an odd last factor is carried to the next round: ceil(log2 F) stacked
+    products in all.  No factors give I.
     """
     if factors.shape[0] == 0:
         return np.eye(factors.shape[-1], dtype=factors.dtype)
@@ -415,10 +541,27 @@ def _ordered_product(factors: np.ndarray) -> np.ndarray:
     return factors[0]
 
 
+def _prefix_products(factors: np.ndarray) -> np.ndarray:
+    """p_t = f_t ... f_1 f_0 for every t over the leading axis of an (F, ..., n, n) stack.
+
+    Round k multiplies each p_t, t >= 2^k, by p_{t - 2^k} on the right (a
+    Hillis-Steele scan): ceil(log2 F) stacked products in all.
+    """
+    shift = 1
+    while shift < factors.shape[0]:
+        factors = np.concatenate([factors[:shift], _mm(factors[shift:], factors[:-shift])])
+        shift *= 2
+    return factors
+
+
 def rectangle_path(field: GaugeField, ix0: int, iy0: int, ix1: int, iy1: int):
     """Closed axis-aligned rectangle through grid corners, based at (ix0, iy0)."""
     if not (ix0 < ix1 and iy0 < iy1):
         raise StructuralError("need ix0 < ix1 and iy0 < iy1")
+    n_x, n_y = field.xs.size, field.ys.size
+    if ix0 < 0 or iy0 < 0 or ix1 >= n_x or iy1 >= n_y:
+        raise StructuralError(f"rectangle ({ix0}, {iy0}) - ({ix1}, {iy1}) is off the "
+                              f"{n_x} x {n_y} grid")
     path = []
     path += [(ix, iy0) for ix in range(ix0, ix1 + 1)]
     path += [(ix1, iy) for iy in range(iy0 + 1, iy1 + 1)]

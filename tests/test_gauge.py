@@ -1,7 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
 
@@ -275,7 +276,7 @@ def _expm_misses(a):
     err = np.abs(got - want).reshape(flat.shape).max(axis=(1, 2), initial=0.0)
     norm = np.abs(flat).sum(axis=1).max(axis=1, initial=0.0)
     scale = np.abs(want).reshape(flat.shape).max(axis=(1, 2), initial=0.0)
-    return np.flatnonzero(err > 1e-13 * np.maximum(1.0, norm) * scale)
+    return np.flatnonzero(~(err <= 1e-13 * np.maximum(1.0, norm) * scale))  # nan is a miss
 
 
 @settings(max_examples=150, deadline=None)
@@ -297,21 +298,26 @@ def test_expm_fixed_cases():
     mixed = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     mixed /= np.abs(mixed).sum(axis=0).max()
     norms = [0.01, 0.2, 0.9, 2.0, 5.0, 10.0, 40.0, 300.0]
+    # [[0, 1e3], [0, -1600]]: finite exp, but cosh sqrt(q) = cosh 800 overflows unscaled
     for a in (np.zeros((3, 3)), np.diag([-30.0, 0.5, 20.0]), tri,
-              np.array([[0.0, 1e3], [0.0, 0.0]]), np.zeros((0, 3, 3)),
+              np.array([[0.0, 1e3], [0.0, 0.0]]), np.array([[0.0, 1e3], [0.0, -1600.0]]),
+              np.zeros((0, 3, 3)),
               np.array([c * mixed for c in norms])):
         assert _expm_misses(a).size == 0
     assert np.array_equal(_expm(np.zeros((2, 2))), np.eye(2))
 
 
 def test_solve_gauge_ode_matches_per_line_rk4():
-    fld = pure_gauge_field(np.random.default_rng(9), n=2, n_x=17, n_y=9)
-    samples = GaugeField(fld.xs, fld.ys, fld.omega0, fld.omega1)
-    spline = CubicSpline(fld.xs, fld.omega0, axis=0)
-    for field, on_line in ((fld, lambda x, iy: fld.exact(x, fld.ys[iy])[0]),
-                           (samples, lambda x, iy: spline(x)[iy])):
-        want = gauge_ode_per_line_oracle(on_line, fld.xs, fld.ys, steps=3)
-        assert np.max(np.abs(solve_gauge_ode(field, steps=3).gamma - want)) < 1e-14
+    # i0 = 4 and 8 intervals per side are powers of two, 5 and 6 are not
+    for n_x in (9, 11, 13, 17):
+        fld = pure_gauge_field(np.random.default_rng(9), n=2, n_x=n_x, n_y=9)
+        samples = GaugeField(fld.xs, fld.ys, fld.omega0, fld.omega1)
+        spline = CubicSpline(fld.xs, fld.omega0, axis=0)
+        for steps in (1, 2, 3, 4):
+            for field, on_line in ((fld, lambda x, iy: fld.exact(x, fld.ys[iy])[0]),
+                                   (samples, lambda x, iy: spline(x)[iy])):
+                want = gauge_ode_per_line_oracle(on_line, fld.xs, fld.ys, steps=steps)
+                assert np.max(np.abs(solve_gauge_ode(field, steps=steps).gamma - want)) < 1e-14
 
 
 def test_monodromy_matches_per_factor_product():
@@ -415,26 +421,28 @@ def test_monodromy_pairwise_product_matches_per_factor_oracle():
         assert np.max(np.abs(monodromy(fld, path, substeps=substeps) - want)) < 1e-14
 
 
-def test_exact_callable_pades_each_point_once(monkeypatch):
+def test_exact_callable_exponentiates_each_point_once(monkeypatch):
     fld = pure_gauge_field(np.random.default_rng(16), n=2, n_x=17, n_y=9)
-    slices = []
-    pade_uv = gauge._pade_uv
-
-    def counted(a, m):
-        slices.append(a.shape[0])
-        return pade_uv(a, m)
-
-    monkeypatch.setattr(gauge, "_pade_uv", counted)
+    slices = _counted(monkeypatch, gauge, "_cosh_sinhc")
     x, y = np.meshgrid(np.linspace(-0.5, 0.5, 21), np.linspace(0.0, 1.0, 13))
     fld.exact(x, y)
-    assert sum(slices) == x.size  # the +f2 A2 and -f2 A2 sides share one Pade
+    # the +f2 A2 and -f2 A2 sides share one c(q), s(q) per point
+    assert sum(q.size for q, in slices) == x.size
 
 
-def test_monodromy_multiplies_in_log_rounds(monkeypatch):
-    fld = pure_gauge_field(np.random.default_rng(17), n=2, n_x=33, n_y=33)
-    path = rectangle_path(fld, 16, 4, 24, 20)
-    substeps = 12
-    n_factors = (len(path) - 1) * substeps
+def _uncounted(fn, elsewhere):
+    """Wrap fn so that _mm calls made inside it are not counted."""
+    def wrapper(*args, **kwargs):
+        elsewhere.append(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            elsewhere.pop()
+    return wrapper
+
+
+def _count_products(monkeypatch, fld):
+    """Shapes of the stacked products made outside the field and the exponentials."""
     products, elsewhere = [], []
     mm = gauge._mm
 
@@ -443,19 +451,139 @@ def test_monodromy_multiplies_in_log_rounds(monkeypatch):
             products.append(a.shape)
         return mm(a, b)
 
-    def uncounted(fn):
-        # products inside the field evaluation and the exponentials are not the product's
-        def wrapper(*args, **kwargs):
-            elsewhere.append(1)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                elsewhere.pop()
-        return wrapper
-
     monkeypatch.setattr(gauge, "_mm", counted_mm)
-    monkeypatch.setattr(gauge, "_expm", uncounted(gauge._expm))
-    monkeypatch.setattr(fld, "exact", uncounted(fld.exact))
+    monkeypatch.setattr(gauge, "_expm", _uncounted(gauge._expm, elsewhere))
+    if fld.exact is not None:
+        monkeypatch.setattr(fld, "exact", _uncounted(fld.exact, elsewhere))
+    return products
+
+
+def test_monodromy_multiplies_in_log_rounds(monkeypatch):
+    fld = pure_gauge_field(np.random.default_rng(17), n=2, n_x=33, n_y=33)
+    path = rectangle_path(fld, 16, 4, 24, 20)
+    substeps = 12
+    n_factors = (len(path) - 1) * substeps
+    products = _count_products(monkeypatch, fld)
     monodromy(fld, path, substeps=substeps)
     assert 0 < len(products) <= int(np.ceil(np.log2(n_factors)))
     assert products[0][0] == n_factors // 2
+
+
+def test_solve_gauge_ode_products_in_log_rounds(monkeypatch):
+    # 3 stacked products build every substep's propagator, ceil(log2 steps)
+    # fold each grid interval, ceil(log2 i0) scan the intervals; a loop over
+    # substeps would make 4 per substep
+    for n_x, steps in ((17, 1), (17, 4), (33, 3), (13, 4)):
+        fld = pure_gauge_field(np.random.default_rng(n_x + steps), n=2, n_x=n_x, n_y=9)
+        i0 = (n_x - 1) // 2
+        for field in (fld, GaugeField(fld.xs, fld.ys, fld.omega0, fld.omega1)):
+            with monkeypatch.context() as m:
+                products = _count_products(m, field)
+                solve_gauge_ode(field, steps=steps)
+            bound = 3 + int(np.ceil(np.log2(steps))) + int(np.ceil(np.log2(i0)))
+            assert 3 <= len(products) <= bound
+            assert products[0][0] == steps * i0  # the first product takes every substep
+
+
+def _mp_expm(x):
+    """exp of one 2 x 2 matrix at 50 significant digits, rounded to complex."""
+    with mpmath.workdps(50):
+        m = mpmath.expm(mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in x]))
+        return np.array([[complex(m[i, j]) for j in range(2)] for i in range(2)])
+
+
+_SWITCH = np.sqrt(gauge._Q_SERIES)
+
+
+def _rank2_case(kind, complex_, data):
+    """One 2 x 2 matrix of the given kind; q = -det(X - tr X / 2) is named per kind."""
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    phase = data.draw(st.floats(0.0, 2 * np.pi)) if complex_ else 0.0  # of the switch cases' d
+    mu = data.draw(unit) + (1j * data.draw(unit) if complex_ else 0.0)
+    if kind == "random":
+        x = data.draw(arrays(float, (2, 2), elements=unit))
+        if complex_:
+            x = x + 1j * data.draw(arrays(float, (2, 2), elements=unit))
+        return x
+    if kind == "scalar":  # q = 0
+        return mu * np.eye(2)
+    if kind == "jordan":  # q = 0, nilpotent part
+        return np.array([[mu, data.draw(st.floats(0.5, 1.0))], [0.0, mu]])
+    if kind in ("above", "below"):  # q = +-1e-9 relative across the series switch
+        d = _SWITCH * (1.0 + (1e-9 if kind == "above" else -1e-9))
+        if complex_:
+            return mu * np.eye(2) + np.diag([d, -d]) * np.exp(1j * phase)
+        if data.draw(st.booleans()):  # real rotation part, q < 0
+            return mu * np.eye(2) + np.array([[0.0, d], [-d, 0.0]])
+        return mu * np.eye(2) + np.diag([d, -d])
+    if kind == "rotation":  # q = -t^2 < 0 for real input
+        t = data.draw(st.floats(0.1, 1.0))
+        return np.array([[mu, t], [-t, mu]])
+    # non-normal: triangular, off-diagonal entry up to 1e3 times the diagonal
+    lam = data.draw(arrays(float, 2, elements=unit))
+    if complex_:
+        lam = lam + 1j * data.draw(arrays(float, 2, elements=unit))
+    return np.array([[lam[0], data.draw(st.floats(1.0, 1e3))], [0.0, lam[1]]])
+
+
+@settings(max_examples=250, deadline=None)
+@given(kind=st.sampled_from(["random", "scalar", "jordan", "above", "below", "rotation",
+                             "nonnormal"]),
+       complex_=st.booleans(), log_norm=st.floats(-8.0, 2.0), data=st.data())
+def test_rank2_expm_matches_50_digit_mpmath(kind, complex_, log_norm, data):
+    x = _rank2_case(kind, complex_, data)
+    norm = np.abs(x).sum(axis=0).max()
+    assume(norm > 0)
+    if kind not in ("above", "below"):  # those keep their q at the switch
+        x = x * (10.0 ** log_norm / norm)
+        norm = np.abs(x).sum(axis=0).max()
+    got, want = _expm(x), _mp_expm(x)
+    assert np.isrealobj(got) == np.isrealobj(x)
+    bound = 1e-14 * max(1.0, norm) * np.abs(want).max()
+    assert np.abs(got - want).max() <= bound
+
+
+def test_rank2_expm_real_input_and_nonfinite_slices():
+    rng = np.random.default_rng(18)
+    for a in (rng.standard_normal((7, 2, 2)),
+              rng.standard_normal((7, 2, 2)) + 1j * rng.standard_normal((7, 2, 2))):
+        a[:, 0, 1] *= 10.0  # some slices scaled and squared
+        bad = [1, 3, 4]
+        a[1, 0, 1], a[3, 1, 1], a[4, 0, 0] = np.nan, np.inf, -np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, pair = _expm(a), _expm(a, negative=True)
+        good = [0, 2, 5, 6]
+        assert got.dtype == a.dtype and pair[1].dtype == a.dtype
+        for out, sign in ((got, 1), (pair[0], 1), (pair[1], -1)):
+            assert not np.isfinite(out[bad]).all(axis=(1, 2)).any()
+            # the finite slices come out as they do without the others
+            assert np.array_equal(out[good], _expm(sign * a[good]))
+        assert _expm_misses(a[good]).size == 0
+
+
+def test_rank2_inverse_and_determinant():
+    rng = np.random.default_rng(19)
+    g = _expm(rng.standard_normal((5, 7, 2, 2)) + 1j * rng.standard_normal((5, 7, 2, 2)))
+    assert np.max(np.abs(gauge._det(g) - np.linalg.det(g))) < 1e-13 * np.abs(g).max() ** 2
+    assert np.max(np.abs(_mm(gauge._inv(g), g) - np.eye(2))) < 1e-13
+    g3 = _expm(rng.standard_normal((4, 3, 3)))
+    assert np.array_equal(gauge._inv(g3), np.linalg.inv(g3))
+    assert np.array_equal(gauge._det(g3), np.linalg.det(g3))
+
+
+def test_monodromy_rejects_off_grid_points():
+    fld = constant_field(np.zeros((2, 2), complex), n_x=17, n_y=9)
+    with pytest.raises(StructuralError, match=r"\(-1, 0\) is off the 17 x 9 grid"):
+        monodromy(fld, [(0, 0), (-1, 0), (0, 0)], 4)
+    with pytest.raises(StructuralError, match=r"\(17, 2\) is off the 17 x 9 grid"):
+        monodromy(fld, [(16, 2), (17, 2), (16, 2)], 4)
+    with pytest.raises(StructuralError, match=r"\(3, 9\) is off"):
+        monodromy(fld, [(3, 8), (3, 9), (3, 8)], 4)
+
+
+def test_rectangle_path_rejects_off_grid_corners():
+    fld = constant_field(np.zeros((2, 2), complex), n_x=17, n_y=9)
+    for corners in ((-1, 0, 4, 4), (0, -2, 4, 4), (10, 2, 17, 4), (10, 2, 16, 9)):
+        with pytest.raises(StructuralError, match="off the 17 x 9 grid"):
+            rectangle_path(fld, *corners)
+    assert rectangle_path(fld, 0, 0, 16, 8)[-1] == (0, 0)

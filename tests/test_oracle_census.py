@@ -1,0 +1,86 @@
+"""tools/oracle_census.py: seed parsing and the comparison of two census files."""
+
+import importlib.util
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "oracle_census.py"
+
+
+@pytest.fixture(scope="module")
+def census():
+    # the tool pins the BLAS thread variables when it is imported; keep them as they were
+    saved = dict(os.environ)
+    try:
+        spec = importlib.util.spec_from_file_location("oracle_census", _TOOL)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        os.environ.clear()
+        os.environ.update(saved)
+    return module
+
+
+def _row(seed, index, verdict="ok", temporal=0.25, monodromy=0.01, report="aa"):
+    return {"workload": "gauge-collar", "seed": seed, "phase": "deck", "index": index,
+            "kind": "gauge", "exit": 0, "report_sha256": report, "stderr_sha256": "e3",
+            "verdict": verdict, "margins": {"temporal": temporal, "monodromy": monodromy}}
+
+
+def _write(path, rows):
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+    return str(path)
+
+
+BASE = [_row(1, 0), _row(1, 1, temporal=0.84), _row(2, 0, monodromy=0.5)]
+
+
+def test_parse_seeds(census):
+    assert census.parse_seeds("1,4,7-9") == [1, 4, 7, 8, 9]
+    assert census.parse_seeds("5") == [5]
+    assert census.parse_seeds("3-4,1-3") == [1, 2, 3, 4]
+
+
+def test_identical_files_compare_clean(census, tmp_path, capsys):
+    a = _write(tmp_path / "a.jsonl", BASE)
+    b = _write(tmp_path / "b.jsonl", BASE)
+    assert census.compare(a, b) == 0
+    out = capsys.readouterr().out
+    assert f"A {a}: 3 ops, 0 failed, worst margin 0.84 of tolerance " \
+           "(temporal, op ('gauge-collar', 1, 'deck', 1))" in out
+    assert "ops moved: 0; largest margin shift 0 of tolerance" in out
+
+
+def test_margin_shift_is_reported_without_failing(census, tmp_path, capsys):
+    moved = [BASE[0], _row(1, 1, temporal=0.8400021, report="bb"), _row(2, 0, monodromy=0.5001)]
+    a = _write(tmp_path / "a.jsonl", BASE)
+    b = _write(tmp_path / "b.jsonl", moved)
+    assert census.compare(a, b) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "ops moved: 2; largest margin shift 0.0001 of tolerance " \
+           "(monodromy, op ('gauge-collar', 2, 'deck', 0))" in lines
+    assert any(line.startswith("('gauge-collar', 1, 'deck', 1) gauge: report_sha256; "
+                               "temporal 0.84 -> 0.8400021") for line in lines)
+    assert f"B {b}: 3 ops, 0 failed, worst margin 0.8400021 of tolerance " \
+           "(temporal, op ('gauge-collar', 1, 'deck', 1))" in lines
+
+
+def test_moved_verdict_fails(census, tmp_path, capsys):
+    failed = [BASE[0], _row(1, 1, verdict="oracle: temporal residual", temporal=1.17), BASE[2]]
+    a = _write(tmp_path / "a.jsonl", BASE)
+    b = _write(tmp_path / "b.jsonl", failed)
+    assert census.compare(a, b) == 1
+    out = capsys.readouterr().out
+    assert "verdict 'ok' -> 'oracle: temporal residual'" in out
+    assert f"B {b}: 3 ops, 1 failed, worst margin 1.17 of tolerance" in out
+    assert "largest margin shift 0.33 of tolerance" in out
+
+
+def test_missing_op_fails(census, tmp_path, capsys):
+    a = _write(tmp_path / "a.jsonl", BASE)
+    b = _write(tmp_path / "b.jsonl", BASE[:2])
+    assert census.compare(a, b) == 1
+    assert f"('gauge-collar', 2, 'deck', 0): only in {a}" in capsys.readouterr().out
