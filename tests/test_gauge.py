@@ -509,7 +509,7 @@ def _rank2_case(kind, complex_, data):
         return mu * np.eye(2)
     if kind == "jordan":  # q = 0, nilpotent part
         return np.array([[mu, data.draw(st.floats(0.5, 1.0))], [0.0, mu]])
-    if kind in ("above", "below"):  # q = +-1e-9 relative across the series switch
+    if kind in ("above", "below"):  # |q| = _Q_SERIES (1 +- 2e-9), either side of the switch
         d = _SWITCH * (1.0 + (1e-9 if kind == "above" else -1e-9))
         if complex_:
             return mu * np.eye(2) + np.diag([d, -d]) * np.exp(1j * phase)
