@@ -213,10 +213,6 @@ class SpectralSplit:
     _pushed: tuple[GradedComplex, Cohomology, DetLineElement] | None = field(
         default=None, init=False, repr=False, compare=False)
 
-    @property
-    def rank_small(self) -> int:
-        return sum(self.ranks_small)
-
 
 def _read_only(arrays):
     for a in arrays:

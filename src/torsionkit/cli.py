@@ -270,15 +270,15 @@ def cmd_gauge(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = selftest_mod.run_all(args.seed, args.level)
-    flat = {}
-    n_fail = 0
-    for mod, items in results.items():
-        for name, ok, detail in items:
-            flat[f"{mod}.{name}"] = {"pass": bool(ok), "detail": detail}
-            if not ok:
-                n_fail += 1
-    emit_report(args, "selftest", {}, flat, {},
+    """Every registered criterion at --seed; wall times go to stderr, one line each."""
+    results = {}
+    for c in selftest_mod.CRITERIA:
+        results[c.name], seconds = selftest_mod.run_criterion(c, args.seed)
+        print(json.dumps({"criterion": c.name, "seconds": round(seconds, 4),
+                          "budget_s": c.budget_s}), file=sys.stderr)
+    n_fail = sum(not r["pass"] for r in results.values())
+    emit_report(args, "selftest", {}, results,
+                {c.name: c.thresholds for c in selftest_mod.CRITERIA},
                 {"pass": n_fail == 0, "failures": n_fail})
     return EXIT_OK if n_fail == 0 else EXIT_INVARIANT
 
@@ -355,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--steps", type=int, default=4)
     s.set_defaults(fn=cmd_gauge)
 
-    s = sub.add_parser("selftest", help="run the invariant suites")
-    s.add_argument("--level", choices=("quick", "full"), default="quick")
+    s = sub.add_parser("selftest", help="measure every criterion against its threshold")
     s.set_defaults(fn=cmd_selftest)
 
     s = sub.add_parser("validate", help="schema and pre-flight checks only")

@@ -113,18 +113,6 @@ def col_space(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0) -> np.
     return u[:, :rk.rank]
 
 
-def null_space(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of a."""
-    _, vh, rk = _svd(a, rtol, floor, full_matrices=True)
-    return vh[rk.rank:, :].conj().T
-
-
-def row_space(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the row space = orthogonal complement of ker(a)."""
-    _, vh, rk = _svd(a, rtol, floor, full_matrices=False)
-    return vh[:rk.rank, :].conj().T
-
-
 def complement_in_kernel(ker: np.ndarray, img: np.ndarray,
                          rtol: float = RANK_RTOL) -> tuple[np.ndarray, bool]:
     """Orthonormal basis of the orthogonal complement of span(img) inside span(ker).
@@ -224,11 +212,6 @@ def log_branch(w: complex, theta: float) -> complex:
     while ang > theta + 2 * np.pi:
         ang -= 2 * np.pi
     return complex(np.log(abs(w)), ang)
-
-
-def det_branch(eigs: np.ndarray, theta: float) -> complex:
-    """exp(sum of branch logs): the theta-branch determinant of the nonzero spectrum."""
-    return complex(np.exp(sum(log_branch(w, theta) for w in np.ravel(eigs))))
 
 
 @dataclass

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from torsionkit.chain import (Cohomology, DetLineElement, GradedComplex,
+from torsionkit.chain import (DetLineElement, GradedComplex,
                               NotAcyclicError, ShortExactSequenceData,
                               canonical_iso, cohomology, cone, fusion,
                               les_of_ses, torsion_acyclic, verify_complex)
 from torsionkit.linalg import StructuralError
+from torsionkit.selftest import (conjugate, conjugated_ses, coordinate_ses,
+                                 random_acyclic_complex, random_complex, random_isos,
+                                 split_ses)
 
 from oracles import milnor_torsion_bruteforce, torsion_modulus_via_laplacians
 
@@ -62,21 +65,8 @@ def test_torsion_rejects_non_acyclic():
         torsion_acyclic(two_term(0.0))
 
 
-def test_torsion_complement_independence_seeded():
-    rng = np.random.default_rng(11)
-    from torsionkit.selftest import random_acyclic_complex
-    for _ in range(100):
-        c, ranks = random_acyclic_complex(rng, max_len=3, max_dim=6)
-        t_auto = torsion_acyclic(c, "auto").coordinate
-        comps = [rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
-                 for k, r in zip(c.dims, ranks)]
-        t_rand = torsion_acyclic(c, comps).coordinate
-        assert abs(t_auto - t_rand) <= 1e-9 * abs(t_auto)
-
-
 def test_torsion_against_bruteforce_and_laplacian():
     rng = np.random.default_rng(12)
-    from torsionkit.selftest import random_acyclic_complex
     for _ in range(40):
         c, _ = random_acyclic_complex(rng, max_len=3, max_dim=4)
         t = torsion_acyclic(c).coordinate
@@ -97,19 +87,6 @@ def test_canonical_iso_zero_differential():
     assert abs(abs(e.coordinate) - 1.0) < 1e-12
 
 
-def test_canonical_iso_covariance_exact():
-    c = GradedComplex((2, 3, 2), [np.zeros((3, 2), complex), np.zeros((2, 3), complex)])
-    coh = cohomology(c)
-    base = canonical_iso(c, coh).coordinate
-    for j, s in ((0, 2.0 - 1.0j), (1, 0.3 + 0.4j), (2, -2.5)):
-        reps = [r.copy() for r in coh.representatives]
-        reps[j][:, 0] *= s
-        coh2 = Cohomology(coh.dims, reps, [], tag=coh.tag)
-        ratio = canonical_iso(c, coh2).coordinate / base
-        want = s ** (1 if j % 2 else -1)
-        assert abs(ratio - want) <= 1e-12 * abs(want)
-
-
 def test_canonical_iso_rejects_wrong_cohomology_dims():
     with pytest.raises(StructuralError):
         canonical_iso(two_term(0.0), cohomology(two_term(1.0)))
@@ -124,16 +101,7 @@ def test_canonical_iso_rejects_non_complex_with_given_cohomology():
 
 def four_degree_complex(ranks=(1, 2, 1), seed=5):
     """dims (2, 4, 4, 2); the default ranks leave one class in every degree."""
-    rng = np.random.default_rng(seed)
-    dims = (2, 4, 4, 2)
-    std = []
-    for j, r in enumerate(ranks):
-        d = np.zeros((dims[j + 1], dims[j]), complex)
-        d[:r, dims[j] - r:] = np.eye(r)
-        std.append(d)
-    g = [np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-         for n in dims]
-    return GradedComplex(dims, [g[j + 1] @ std[j] @ sla.inv(g[j]) for j in range(3)])
+    return random_complex(np.random.default_rng(seed), (2, 4, 4, 2), list(ranks))[0]
 
 
 def count_svds(monkeypatch):
@@ -236,33 +204,9 @@ def test_det_line_element_rejects_zero():
         DetLineElement(0.0, "x", ((0, 1),))
 
 
-def _split_ses(rng, degs=2):
-    dims_a = tuple(int(rng.integers(1, 3)) for _ in range(degs))
-    dims_c = tuple(int(rng.integers(1, 3)) for _ in range(degs))
-    dims_b = tuple(a + c for a, c in zip(dims_a, dims_c))
-    da = [0.4 * (rng.standard_normal((dims_a[j + 1], dims_a[j]))
-                 + 1j * rng.standard_normal((dims_a[j + 1], dims_a[j])))
-          for j in range(degs - 1)]
-    dc = [0.4 * (rng.standard_normal((dims_c[j + 1], dims_c[j]))
-                 + 1j * rng.standard_normal((dims_c[j + 1], dims_c[j])))
-          for j in range(degs - 1)]
-    a = GradedComplex(dims_a, da)
-    c = GradedComplex(dims_c, dc)
-    b = a.direct_sum(c)
-    iota, pi = [], []
-    for j in range(degs):
-        m = np.zeros((dims_b[j], dims_a[j]), complex)
-        m[:dims_a[j], :] = np.eye(dims_a[j])
-        iota.append(m)
-        p = np.zeros((dims_c[j], dims_b[j]), complex)
-        p[:, dims_a[j]:] = np.eye(dims_c[j])
-        pi.append(p)
-    return ShortExactSequenceData(a, b, c, iota, pi)
-
-
 def test_fusion_split_standard_is_plus_one():
     rng = np.random.default_rng(3)
-    ses = _split_ses(rng)
+    ses = split_ses(rng)
     one_a = DetLineElement(1.0, "std", tuple(enumerate(ses.a.dims)))
     one_c = DetLineElement(1.0, "std", tuple(enumerate(ses.c.dims)))
     out = fusion(one_a, one_c, ses)
@@ -287,16 +231,8 @@ def test_fusion_bilinear_and_bruteforce():
     rng = np.random.default_rng(4)
     from oracles import fusion_bruteforce
     for _ in range(25):
-        ses = _split_ses(rng)
-        # generic non-split iota/pi: conjugate the split one by a random iso of B
-        g = [np.eye(d, dtype=complex)
-             + 0.3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-             for d in ses.b.dims]
-        b2 = GradedComplex(ses.b.dims, [g[j + 1] @ ses.b.d(j) @ sla.inv(g[j])
-                                        for j in range(len(ses.b.dims) - 1)])
-        ses2 = ShortExactSequenceData(ses.a, b2, ses.c,
-                                      [g[j] @ ses.iota[j] for j in range(len(g))],
-                                      [ses.pi[j] @ sla.inv(g[j]) for j in range(len(g))])
+        ses = split_ses(rng)
+        ses2 = conjugated_ses(rng, ses)  # generic, non-split iota and pi
         za, zc = 1.3 - 0.2j, -0.7 + 0.9j
         ea = DetLineElement(za, "std", tuple(enumerate(ses.a.dims)))
         ec = DetLineElement(zc, "std", tuple(enumerate(ses.c.dims)))
@@ -321,8 +257,7 @@ def test_fusion_rejects_non_exact():
 
 def test_cone_identity_is_acyclic():
     rng = np.random.default_rng(5)
-    from torsionkit.selftest import _random_complex_with_dims
-    c, _ = _random_complex_with_dims(rng, (2, 3, 2))
+    c, _ = random_complex(rng, (2, 3, 2))
     f = [np.eye(d, dtype=complex) for d in c.dims]
     cn = cone(f, c, c)
     assert verify_complex(cn)
@@ -339,7 +274,6 @@ def test_cone_dims_shape():
 
 def test_cone_zero_map_torsion_product():
     rng = np.random.default_rng(6)
-    from torsionkit.selftest import random_acyclic_complex
     signs = set()
     for _ in range(20):
         c, _ = random_acyclic_complex(rng, max_len=2, max_dim=3)
@@ -365,13 +299,10 @@ def test_cone_rejects_non_chain_map():
 
 def test_les_degenerate_c_zero_is_transport():
     rng = np.random.default_rng(7)
-    from torsionkit.selftest import _random_complex_with_dims
-    a, _ = _random_complex_with_dims(rng, (2, 2))
+    a, _ = random_complex(rng, (2, 2))
     zero = GradedComplex((0, 0), [np.zeros((0, 0), complex)])
-    g = [np.eye(d, dtype=complex)
-         + 0.3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-         for d in a.dims]
-    b = GradedComplex(a.dims, [g[1] @ a.d(0) @ sla.inv(g[0])])
+    g = random_isos(rng, a.dims, 0.3)
+    b = conjugate(a, g)
     ses = ShortExactSequenceData(a, b, zero, [g[0], g[1]],
                                  [np.zeros((0, 2), complex)] * 2)
     les = les_of_ses(ses)
@@ -394,7 +325,7 @@ def test_les_split_agrees_with_fusion_up_to_sign():
     rng = np.random.default_rng(8)
     ratios = []
     for _ in range(15):
-        ses = _split_ses(rng)
+        ses = split_ses(rng)
         les = les_of_ses(ses)
         one_a = DetLineElement(1.0, les.coh_a.tag, les.coh_a.grading())
         one_c = DetLineElement(1.0, les.coh_c.tag, les.coh_c.grading())
@@ -413,7 +344,6 @@ def test_les_split_agrees_with_fusion_up_to_sign():
 
 def test_les_a_acyclic_transport():
     rng = np.random.default_rng(9)
-    from torsionkit.selftest import random_acyclic_complex
     for _ in range(10):
         a, _ = random_acyclic_complex(rng, max_len=1, max_dim=3)
         degs = len(a.dims)
@@ -421,16 +351,7 @@ def test_les_a_acyclic_transport():
         c = GradedComplex(dims_c, [0.3 * (rng.standard_normal((dims_c[j + 1], dims_c[j]))
                                           + 1j * rng.standard_normal((dims_c[j + 1], dims_c[j])))
                                    for j in range(degs - 1)])
-        b = a.direct_sum(c)
-        iota, pi = [], []
-        for j in range(degs):
-            m = np.zeros((b.dims[j], a.dims[j]), complex)
-            m[:a.dims[j], :] = np.eye(a.dims[j])
-            iota.append(m)
-            p = np.zeros((dims_c[j], b.dims[j]), complex)
-            p[:, a.dims[j]:] = np.eye(dims_c[j])
-            pi.append(p)
-        ses = ShortExactSequenceData(a, b, c, iota, pi)
+        ses = coordinate_ses(a, a.direct_sum(c), c)
         les = les_of_ses(ses)
         one_a = DetLineElement(1.0, les.coh_a.tag, les.coh_a.grading())
         one_c = DetLineElement(1.0, les.coh_c.tag, les.coh_c.grading())
@@ -451,7 +372,7 @@ def test_les_a_acyclic_transport():
 
 def test_ses_exactness_validation():
     rng = np.random.default_rng(10)
-    ses = _split_ses(rng)
+    ses = split_ses(rng)
     ses.validate()
     with pytest.raises(StructuralError,
                        match=r"iota not injective or pi not surjective at degree 0"):

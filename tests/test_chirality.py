@@ -115,7 +115,7 @@ def test_spectral_split_jordan_block():
     x = simple_m1(a, gamma0=np.eye(2, dtype=complex))
     s = odd_signature(x)
     split = spectral_split(s, 1.0)
-    assert split.rank_small == 0
+    assert sum(split.ranks_small) == 0
 
 
 def test_spectral_split_commutes_with_b_and_d():
@@ -345,11 +345,6 @@ def test_small_complex_gamma_involution():
     lam = admissible_lambdas(s, 2)[-1]
     sc = small_complex(s, spectral_split(s, lam))
     sc.x.validate()
-
-
-def test_chirality_suite_is_deterministic():
-    from torsionkit.selftest import chirality_suite
-    assert chirality_suite(3, "quick") == chirality_suite(3, "quick")
 
 
 def _outcome(f, *args):

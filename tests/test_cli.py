@@ -1,9 +1,10 @@
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ import scipy.linalg as sla
 
 import torsionkit.cw as cw_module
 from torsionkit import cli, holomorphy
+from torsionkit import selftest as selftest_mod
 from torsionkit.chain import GradedComplex, ShortExactSequenceData, canonical_iso
 from torsionkit.chirality import random_chirality_complex
 from torsionkit.cli import main
+from torsionkit.linalg import SpectralGapError, StructuralError
 from torsionkit.schemas import encode_complex, encode_real
 
 CIRCLE_CW = {
@@ -65,10 +68,27 @@ def counted(monkeypatch, owners, name):
     return calls
 
 
+# the directory torsionkit is imported from, for tests that start a fresh interpreter
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+
 def write(tmp_path, name, doc):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
     return str(p)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def fresh_selftest():
+    """`torsionkit --seed 3 selftest` in a fresh interpreter with another hash
+    seed, started before this module's first test so that it runs alongside
+    them; the determinism test reads its stdout."""
+    proc = subprocess.Popen([sys.executable, "-m", "torsionkit.cli", "--seed", "3", "selftest"],
+                            env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED="12345"),
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    yield proc
+    proc.kill()
+    proc.communicate()
 
 
 def test_torsion_command_circle(tmp_path, capsys):
@@ -388,19 +408,60 @@ def test_refined_command_repeats_byte_identically(tmp_path):
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():
-    src = os.path.dirname(os.path.dirname(sys.modules["torsionkit"].__file__))
     code = "import sys, torsionkit.cli; print('scipy.interpolate' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
 
 
-def test_selftest_quick(capsys):
-    code = main(["--seed", "3", "selftest", "--level", "quick"])
-    out = json.loads(capsys.readouterr().out)
+@pytest.fixture(scope="module")
+def selftest_seed3():
+    """(exit code, stdout, stderr) of `torsionkit --seed 3 selftest` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["--seed", "3", "selftest"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_selftest_quick(selftest_seed3):
+    code, out, err = selftest_seed3
+    report = json.loads(out)
     assert code == 0
-    assert out["flags"]["failures"] == 0
+    assert report["flags"] == {"pass": True, "failures": 0}
+    names = [c.name for c in selftest_mod.CRITERIA]
+    assert sorted(report["results"]) == sorted(names)
+    assert report["tolerances"] == {n: r["threshold"] for n, r in report["results"].items()}
+    for r in report["results"].values():
+        assert r["pass"] and r["value"].keys() == r["threshold"].keys()
+    # one timing line per criterion on stderr, in registry order
+    assert [json.loads(line)["criterion"] for line in err.splitlines()] == names
+
+
+def test_selftest_report_is_deterministic(selftest_seed3, fresh_selftest):
+    out = fresh_selftest.communicate(timeout=300)[0]
+    assert (fresh_selftest.returncode, out) == (0, selftest_seed3[1].encode())
+
+
+@pytest.mark.parametrize("error", [StructuralError, SpectralGapError])
+def test_selftest_records_a_raising_criterion_as_failed(monkeypatch, capsys, error):
+    def raises(seed):
+        raise error("sigma relation sign varies with the representation")
+
+    by_name = {c.name: c for c in selftest_mod.CRITERIA}
+    failing = dataclasses.replace(by_name["sigma_sign_relation"], measure=raises)
+    monkeypatch.setattr(selftest_mod, "CRITERIA", [failing, by_name["eta_values"]])
+    assert main(["selftest"]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["flags"] == {"pass": False, "failures": 1}
+    assert report["results"]["sigma_sign_relation"] == {
+        "pass": False, "value": None, "threshold": {"max_dev": ["<", 1e-8]},
+        "detail": "sigma relation sign varies with the representation"}
+    assert report["results"]["eta_values"]["pass"]
+    # anything broader than a structural or degeneracy error propagates
+    with pytest.raises(ValueError):
+        selftest_mod.run_criterion(
+            dataclasses.replace(failing, measure=lambda seed: float("x")), 3)
 
 
 def test_bad_representation_matrix_schema(tmp_path):

@@ -12,44 +12,8 @@ from torsionkit.cw import (CWData, Representation, boundary_complex, build_cocha
                            trivial_representation, validate_representation)
 from torsionkit.holomorphy import doubled_cochain
 from torsionkit.linalg import StructuralError
-
-
-def circle(word="t"):
-    return CWData(cells=[("v", 0), ("e", 1)],
-                  boundary={"e": [("v", 1, word), ("v", -1, "")]},
-                  generators=["t"])
-
-
-def interval():
-    return CWData(cells=[("v1", 0), ("v2", 0), ("e", 1)],
-                  boundary={"e": [("v2", 1, ""), ("v1", -1, "")]},
-                  generators=[], boundary_subcomplex={"v1", "v2"})
-
-
-def split_circle():
-    return CWData(cells=[("v1", 0), ("v2", 0), ("e1", 1), ("e2", 1)],
-                  boundary={"e1": [("v2", 1, ""), ("v1", -1, "")],
-                            "e2": [("v1", 1, "t"), ("v2", -1, "")]},
-                  generators=["t"], boundary_subcomplex={"v1", "v2"})
-
-
-def disc():
-    return CWData(
-        cells=[("v1", 0), ("v2", 0), ("a1", 1), ("a2", 1), ("c", 1), ("F1", 2), ("F2", 2)],
-        boundary={"a1": [("v2", 1, ""), ("v1", -1, "")],
-                  "a2": [("v1", 1, ""), ("v2", -1, "")],
-                  "c": [("v2", 1, ""), ("v1", -1, "")],
-                  "F1": [("a1", 1, ""), ("c", -1, "")],
-                  "F2": [("a2", 1, ""), ("c", 1, "")]},
-        generators=[], boundary_subcomplex={"v1", "v2", "a1", "a2"})
-
-
-def torus_cw():
-    return CWData(cells=[("v", 0), ("a", 1), ("b", 1), ("f", 2)],
-                  boundary={"a": [("v", 1, "t"), ("v", -1, "")],
-                            "b": [("v", 1, "s"), ("v", -1, "")],
-                            "f": [("a", 1, ""), ("b", 1, "t"), ("a", -1, "s"), ("b", -1, "")]},
-                  generators=["t", "s"], relations=["t s t^-1 s^-1"])
+from torsionkit.selftest import (circle_cw, disc_cw, interval_cw, split_circle_cw,
+                                 torus_cw)
 
 
 def rank1(lam):
@@ -57,8 +21,8 @@ def rank1(lam):
 
 
 def test_validate_representation_values():
-    assert validate_representation(trivial_representation(2, ["t"]), circle()) == 0.0
-    assert validate_representation(rank1(2.0), circle()) == 0.0
+    assert validate_representation(trivial_representation(2, ["t"]), circle_cw()) == 0.0
+    assert validate_representation(rank1(2.0), circle_cw()) == 0.0
     torus = torus_cw()
     noncomm = Representation(2, {"t": np.array([[1.0, 1.0], [0.0, 1.0]], complex),
                                  "s": np.array([[1.0, 0.0], [1.0, 1.0]], complex)})
@@ -66,22 +30,23 @@ def test_validate_representation_values():
 
 
 def test_validate_rejects_unknown_generator():
-    k = circle("q")
+    k = CWData(cells=[("v", 0), ("e", 1)],
+               boundary={"e": [("v", 1, "q"), ("v", -1, "")]}, generators=["t"])
     with pytest.raises(StructuralError):
         validate_representation(rank1(2.0), k)
 
 
 def test_build_cochain_circle_differential():
-    c = build_cochain(circle(), rank1(2.0))
+    c = build_cochain(circle_cw(), rank1(2.0))
     assert c.dims == (1, 1)
     assert abs(c.differentials[0][0, 0] - 1.0) < 1e-15  # lambda - 1
     lam = 0.3 - 0.7j
-    c2 = build_cochain(circle(), rank1(lam))
+    c2 = build_cochain(circle_cw(), rank1(lam))
     assert abs(c2.differentials[0][0, 0] - (lam - 1.0)) < 1e-15
 
 
 def test_build_cochain_trivial_rep_integer_incidences():
-    k = split_circle()
+    k = split_circle_cw()
     c = build_cochain(k, trivial_representation(3, ["t"]))
     d = c.differentials[0]
     want = np.kron(np.array([[-1, 1], [1, -1]], dtype=complex), np.eye(3))
@@ -89,19 +54,19 @@ def test_build_cochain_trivial_rep_integer_incidences():
 
 
 def test_build_cochain_interval_cohomology():
-    c = build_cochain(interval(), trivial_representation(2, []))
+    c = build_cochain(interval_cw(), trivial_representation(2, []))
     coh = cohomology(c)
     assert coh.dims == (2, 0)
 
 
 def test_build_relative_interval():
-    c = build_relative(interval(), trivial_representation(2, []))
+    c = build_relative(interval_cw(), trivial_representation(2, []))
     assert c.dims == (0, 2)
     assert cohomology(c).dims == (0, 2)
 
 
 def test_build_relative_empty_subcomplex_equals_full():
-    k = circle()
+    k = circle_cw()
     rep = rank1(2.0)
     full = build_cochain(k, rep)
     rel = build_relative(k, rep)
@@ -128,42 +93,32 @@ def test_relative_circle_one_vertex_subcomplex():
 
 def test_sigma_circle_values():
     # acyclic at lambda=2: sigma = (lambda - 1) = 1 under the documented convention
-    s = sigma(circle(), rank1(2.0))
+    s = sigma(circle_cw(), rank1(2.0))
     assert abs(s.coordinate - 1.0) < 1e-12
     lam = 3.0 - 1.0j
-    s2 = sigma(circle(), rank1(lam))
+    s2 = sigma(circle_cw(), rank1(lam))
     assert abs(s2.coordinate - (lam - 1.0)) < 1e-12
 
 
 def test_sigma_trivial_rank1_circle():
-    s = sigma(circle(), rank1(1.0))
+    s = sigma(circle_cw(), rank1(1.0))
     assert abs(abs(s.coordinate) - 1.0) < 1e-12
 
 
 def test_sigma_relative_equals_sigma_when_no_boundary():
-    k = circle()
+    k = circle_cw()
     rep = rank1(2.0)
     assert abs(sigma(k, rep).coordinate - sigma_relative(k, rep).coordinate) < 1e-12
 
 
 def test_tau_section_product_and_nonzero():
-    k = interval()
+    k = interval_cw()
     rep = trivial_representation(1, [])
     t = tau_section(k, rep)
     s = sigma(k, rep)
     s2 = sigma_relative(k, rep)
     assert abs(t.coordinate - s.coordinate * s2.coordinate) < 1e-12
     assert t.coordinate != 0
-
-
-def test_sigma_lift_covariance():
-    rep = Representation(2, {"t": np.array([[2.0, 1.0], [0.0, 3.0]], complex)})
-    det_t = sla.det(rep.matrices["t"])
-    base = sigma(circle(), rep).coordinate
-    edge = sigma(circle().change_lift("e", "t"), rep).coordinate
-    vert = sigma(circle().change_lift("v", "t"), rep).coordinate
-    assert abs(edge / base - det_t ** (-1)) < 1e-10
-    assert abs(vert / base - det_t) < 1e-10
 
 
 def test_sigma_lift_covariance_interval():
@@ -191,13 +146,13 @@ def test_sigma_lift_covariance_interval():
 
 def test_check_sigma_relation_interval_and_random():
     sign, ratios = check_sigma_relation(
-        interval(), [trivial_representation(n, []) for n in (1, 2, 3)])
+        interval_cw(), [trivial_representation(n, []) for n in (1, 2, 3)])
     assert sign in (1, -1)
     assert all(abs(r - sign) < 1e-10 for r in ratios)
 
 
 def test_check_sigma_relation_no_boundary_is_plus_one():
-    sign, ratios = check_sigma_relation(circle(), [rank1(2.0), rank1(1.5)])
+    sign, ratios = check_sigma_relation(circle_cw(), [rank1(2.0), rank1(1.5)])
     assert sign == 1
     assert all(abs(r - 1.0) < 1e-10 for r in ratios)
 
@@ -209,17 +164,17 @@ def test_check_sigma_relation_sign_constant_random_rank2():
         m = np.eye(2) + 0.4 * (rng.standard_normal((2, 2))
                                + 1j * rng.standard_normal((2, 2)))
         reps.append(Representation(2, {"t": m}))
-    sign, _ = check_sigma_relation(split_circle(), reps)
+    sign, _ = check_sigma_relation(split_circle_cw(), reps)
     assert sign in (1, -1)
 
 
 def test_sigma_rational_in_representation():
     # sigma along a linear family is a polynomial; interpolation reproduces it
     ts = np.linspace(-0.2, 0.2, 5)
-    vals = [sigma(circle(), rank1(2.0 + t)).coordinate for t in ts]
+    vals = [sigma(circle_cw(), rank1(2.0 + t)).coordinate for t in ts]
     coeffs = np.polyfit(ts, np.array(vals), 3)
     for probe in (0.13, -0.07):
-        direct = sigma(circle(), rank1(2.0 + probe)).coordinate
+        direct = sigma(circle_cw(), rank1(2.0 + probe)).coordinate
         assert abs(direct - np.polyval(coeffs, probe)) < 1e-9
 
 
@@ -249,7 +204,7 @@ def test_bad_lift_data_raises():
 
 
 def test_transmission_split_circle_dims():
-    k = split_circle()
+    k = split_circle_cw()
     rep = rank1(2.0)
     ses1, ses2 = transmission_split(k, {"v1", "v2"}, rep)
     for ses in (ses1, ses2):
@@ -261,7 +216,7 @@ def test_transmission_split_circle_dims():
 
 def test_transmission_split_needs_separation():
     # N = one vertex leaves the complement connected through the other vertex
-    k = split_circle()
+    k = split_circle_cw()
     with pytest.raises(StructuralError):
         transmission_split(k, {"v1"})
 
@@ -278,7 +233,7 @@ def test_transmission_disconnected_direct_sum():
 
 
 def test_relative_ses_les_runs():
-    k = interval()
+    k = interval_cw()
     rep = trivial_representation(1, [])
     ses = relative_ses(k, rep)
     ses.validate()
@@ -353,12 +308,12 @@ def _component(k, rest, start) -> set:
 def test_slices_match_cell_loop_on_fixtures():
     rng = np.random.default_rng(6)
     for n in (1, 3):
-        assert_slices_match_cell_loop(interval(), trivial_representation(n, []))
-        assert_slices_match_cell_loop(disc(), trivial_representation(n, []),
+        assert_slices_match_cell_loop(interval_cw(), trivial_representation(n, []))
+        assert_slices_match_cell_loop(disc_cw(), trivial_representation(n, []),
                                       {"v1", "v2", "c"})
     for _ in range(3):
         t = np.eye(2) + 0.4 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        assert_slices_match_cell_loop(split_circle(), Representation(2, {"t": t}),
+        assert_slices_match_cell_loop(split_circle_cw(), Representation(2, {"t": t}),
                                       {"v1", "v2"})
     lam, mu = (np.diag(rng.uniform(0.5, 2.0, 3) * np.exp(1j * rng.uniform(0, 6.28, 3)))
                for _ in range(2))

@@ -5,25 +5,15 @@ import scipy.linalg as sla
 from torsionkit.chain import GradedComplex
 from torsionkit.chirality import (ChiralityComplex, admissible_lambdas,
                                   odd_signature, rho)
-from torsionkit.cw import CWData, sigma, tau_section
+from torsionkit.cw import sigma, tau_section
 from torsionkit.holomorphy import (ComplexFamily, RepresentationCurve, SectionModel,
                                    cr_order, cr_residual, doubled_cochain,
                                    graded_det_along_curve, projection_derivative_check,
                                    projection_family, section_ratio,
                                    section_ratio_residual)
 from torsionkit.linalg import SpectralGapError, StructuralError
-from torsionkit.selftest import seeded_linear_family
-
-
-def circle_cw():
-    return CWData(cells=[("v", 0), ("e", 1)],
-                  boundary={"e": [("v", 1, "t"), ("v", -1, "")]},
-                  generators=["t"])
-
-
-def lin_curve(radius=0.25):
-    return RepresentationCurve(1, {"t": [np.array([[2.0]], complex),
-                                         np.array([[1.0]], complex)]}, radius)
+from torsionkit.selftest import (circle_cw, linear_curve, seeded_linear_family,
+                                 zero_section_model)
 
 
 def test_cr_residual_polynomial():
@@ -55,7 +45,7 @@ def test_representation_curve_validates_relations():
 
 def test_sigma_along_curve_holomorphic():
     k = circle_cw()
-    curve = lin_curve()
+    curve = linear_curve()
 
     def g(z):
         return sigma(k, curve.at(z)).coordinate
@@ -67,7 +57,7 @@ def test_sigma_along_curve_holomorphic():
 
 def test_sigma_antiholomorphic_control():
     k = circle_cw()
-    curve = lin_curve()
+    curve = linear_curve()
     r = cr_residual(lambda z: sigma(k, curve.at(np.conj(z))).coordinate,
                     0.05 + 0.02j, 1e-3)
     assert r > 1e-2
@@ -115,7 +105,7 @@ def test_graded_det_gap_crossing_raises():
 
 def test_section_ratio_identity_model():
     k = circle_cw()
-    curve = lin_curve()
+    curve = linear_curve()
 
     def model_builder(z):
         cd = doubled_cochain(k, curve.at(z))
@@ -135,12 +125,8 @@ def test_section_ratio_identity_model():
 
 def test_section_ratio_zero_model_holomorphic():
     k = circle_cw()
-    curve = lin_curve()
-    zero = ChiralityComplex(GradedComplex((0, 0), [np.zeros((0, 0), complex)]),
-                            [np.zeros((0, 0), complex)] * 2,
-                            [np.zeros((0, 0), complex)] * 2)
-    model = SectionModel(ComplexFamily(lambda z: zero),
-                         lambda z: [np.zeros((2, 0), complex)] * 2)
+    curve = linear_curve()
+    model = zero_section_model((2, 2))
     f0 = section_ratio(k, model, curve, 0.0)
     t0 = tau_section(k, curve.at(0.0)).coordinate
     assert abs(abs(f0) - abs(1.0 / t0)) < 1e-12
@@ -155,11 +141,7 @@ def test_section_ratio_non_quasi_iso_raises():
     # quasi-isomorphism and the cone keeps cohomology
     k = circle_cw()
     curve = RepresentationCurve(1, {"t": [np.array([[1.0]], complex)]}, 0.25)
-    zero = ChiralityComplex(GradedComplex((0, 0), [np.zeros((0, 0), complex)]),
-                            [np.zeros((0, 0), complex)] * 2,
-                            [np.zeros((0, 0), complex)] * 2)
-    model = SectionModel(ComplexFamily(lambda z: zero),
-                         lambda z: [np.zeros((2, 0), complex)] * 2)
+    model = zero_section_model((2, 2))
     from torsionkit.chain import NotAcyclicError
     with pytest.raises(NotAcyclicError):
         section_ratio(k, model, curve, 0.0)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from torsionkit.linalg import (AgmonError, StructuralError, as_cmatrix, check_agmon,
-                               col_space, complement_in_kernel, det_branch,
-                               h_adjoint, invariant_subspace, log_branch,
-                               null_space, rank_svd, row_space, spectral_projector)
+from torsionkit.linalg import (RANK_RTOL, AgmonError, StructuralError, _svd, as_cmatrix,
+                               check_agmon, col_space, complement_in_kernel, h_adjoint,
+                               invariant_subspace, log_branch, rank_svd,
+                               spectral_projector)
 
 from oracles import contour_projector
 
@@ -25,7 +25,8 @@ def test_rank_warning_band():
 def test_spaces_consistency():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    k = null_space(a)
+    _, vh, rk = _svd(a, RANK_RTOL, 0.0, full_matrices=True)
+    k = vh[rk.rank:, :].conj().T
     assert k.shape == (6, 2)
     assert sla.norm(a @ k) < 1e-12
     c = col_space(a)
@@ -41,19 +42,19 @@ def test_spaces_take_one_svd_each(monkeypatch):
     monkeypatch.setattr(sla, "svd", lambda m, **kw: calls.append(kw) or svd(m, **kw))
     monkeypatch.setattr(sla, "svdvals", None)
     assert col_space(a).shape == (5, 2)
-    assert row_space(a).shape == (4, 2)
-    k = null_space(a)
-    assert k.shape == (4, 2) and sla.norm(a @ k) < 1e-12
-    assert [kw["full_matrices"] for kw in calls] == [False, False, True]
+    _, vh, rk = _svd(a, RANK_RTOL, 0.0, full_matrices=True)
+    assert rk.rank == 2 and sla.norm(a @ vh[2:].conj().T) < 1e-12
+    assert [kw["full_matrices"] for kw in calls] == [False, True]
 
 
 def test_spaces_of_zero_matrix_skip_the_svd(monkeypatch):
     monkeypatch.setattr(sla, "svd", None)
     z = np.zeros((3, 2), complex)
-    assert np.array_equal(null_space(z), np.eye(2))
+    u, vh, rk = _svd(z, RANK_RTOL, 0.0, full_matrices=True)
+    assert rk.rank == 0 and np.array_equal(vh, np.eye(2)) and np.array_equal(u, np.eye(3))
     assert col_space(z).shape == (3, 0)
-    assert row_space(z).shape == (2, 0)
-    assert null_space(np.zeros((0, 3), complex)).shape == (3, 3)
+    _, vh, rk = _svd(np.zeros((0, 3), complex), RANK_RTOL, 0.0, full_matrices=True)
+    assert rk.rank == 0 and np.array_equal(vh, np.eye(3))
 
 
 def test_complement_in_kernel():
@@ -172,11 +173,6 @@ def test_log_branch_window():
     # exp of branch log recovers the value
     for w in (1.5, -0.3 + 0.2j, 2j):
         assert abs(np.exp(log_branch(w, th)) - w) < 1e-12
-
-
-def test_det_branch_is_product():
-    eigs = np.array([2.0, -3.0, 1j])
-    assert abs(det_branch(eigs, -0.7) - np.prod(eigs)) < 1e-12
 
 
 def test_check_agmon_raises_on_ray():

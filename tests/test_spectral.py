@@ -200,13 +200,6 @@ def test_rat_circle_real_at_theta_pi():
     assert abs(ra.imag) < 1e-9
 
 
-def test_cutoff_stability():
-    m = CircleModel(1.7, 1.1 * np.exp(2.0j))
-    d1 = zeta_det_laplacian_circle(m, ZetaEvaluator(cutoff=40, order=8))
-    d2 = zeta_det_laplacian_circle(m, ZetaEvaluator(cutoff=80, order=10))
-    assert abs(d1 - d2) < 1e-10
-
-
 def test_zeta_evaluator_rejects_pole():
     z = ZetaEvaluator()
     with pytest.raises(DegeneracyError):
