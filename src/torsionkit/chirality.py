@@ -6,8 +6,10 @@ inner products h.  From it we build:
 
 * the dual differential D' with Gamma D = (D')^{*h} Gamma,
 * the odd signature operator B = Gamma D + D Gamma (degree pairs k <-> m-k-1),
-* spectral projectors of B^2 at a cut |mu| <= lambda (Schur-based, valid for
-  defective matrices),
+* the spectral splitting of B^2 at a cut |mu| <= lambda: per degree, one
+  sorted Schur form gives orthonormal bases of the small (|mu| <= lambda)
+  and big invariant subspaces and the big eigenvalues (valid for defective
+  matrices),
 * the graded determinant of the invertible part: B restricted to even degrees
   splits into B+ on ker(D Gamma) = im(Gamma D) and B- on ker(Gamma D) = im(D),
   and Det_gr = Det_theta(B+_even) / Det_theta(-B-_even) with branch logs,
@@ -18,10 +20,10 @@ inner products h.  From it we build:
 
 What depends on the cut lambda but not on the angle theta is computed once
 per cut: the OddSignatureData memoises each cut's SpectralSplit, and the split
-keeps its +/- splitting, the eigenvalues of B+ and B-, and the small-part
-element of rho.  Gap and Agmon checks still run on every call, and a call
-that raises stores nothing, so errors repeat exactly.  The memoised arrays
-are shared by every caller and read-only.
+keeps its bases and big eigenvalues, its +/- splitting, the eigenvalues of B+
+and B-, and the small-part element of rho.  Gap and Agmon checks still run on
+every call, and a call that raises stores nothing, so errors repeat exactly.
+The memoised arrays are shared by every caller and read-only.
 
 Sign normalization: the refined torsion element carries the extra sign
 (-1)^{(r-1) * dim C^{r-1}} (r = (m+1)/2).  With the Milnor convention of
@@ -54,7 +56,6 @@ from .linalg import (
     check_agmon,
     col_space,
     h_adjoint,
-    invariant_subspace,
     log_branch,
     spectral_projector,
 )
@@ -188,20 +189,20 @@ def odd_signature(x: ChiralityComplex) -> OddSignatureData:
 
 @dataclass
 class SpectralSplit:
-    """Projectors and invariant-subspace bases of B^2 at the cut |mu| <= lambda.
+    """Invariant subspaces of B^2 at the cut |mu| <= lambda, per degree.
 
-    A split belongs to the OddSignatureData that made it.  Its arrays are
+    u_small_blocks[k] and u_big_blocks[k] are orthonormal bases (columns) of
+    the invariant subspaces of B^2 on C^k for |mu| <= lambda and
+    |mu| > lambda; eig_big_blocks[k] holds the eigenvalues of the latter.  A
+    split belongs to the OddSignatureData that made it.  Its arrays are
     read-only; the private fields memoise what pm_split, graded_determinant
     and rho derive from the cut alone.
     """
 
     lam: float
-    threshold: float
-    pi_small_blocks: list[np.ndarray]
-    pi_big_blocks: list[np.ndarray]
     u_small_blocks: list[np.ndarray]
     u_big_blocks: list[np.ndarray]
-    ranks_small: tuple[int, ...]
+    eig_big_blocks: list[np.ndarray]
     _pm: PMSplit | None = field(default=None, init=False, repr=False, compare=False)
     # eigenvalues of B+ and of B-
     _pm_eigs: tuple[np.ndarray, np.ndarray] | None = field(
@@ -221,14 +222,14 @@ def _read_only(arrays):
 
 def spectral_split(s: OddSignatureData, lam: float,
                    gap_rtol: float = 1e-8) -> SpectralSplit:
-    """Spectral projectors of B^2 at the cut |mu| <= lambda, per degree.
+    """Spectral splitting of B^2 at the cut |mu| <= lambda, per degree.
 
     Raises SpectralGapError when lambda is too close to |mu| for some
     eigenvalue mu of B^2 (relative to the spectral scale).  That check runs
     on every call; the split itself depends on lambda alone and is memoised
     on s, so every call at one cut returns the same SpectralSplit, whose
     arrays are shared and read-only.  Per block, one sorted Schur form gives
-    the small projector and basis, a second one the big basis.
+    both bases and the big eigenvalues (linalg.spectral_projector).
     """
     if lam < 0:
         raise StructuralError("lambda must be >= 0")
@@ -243,17 +244,14 @@ def spectral_split(s: OddSignatureData, lam: float,
     split = s._splits.get(lam)
     if split is not None:
         return split
-    smalls, bigs, us, ub, ranks = [], [], [], [], []
+    us, ub, eigs = [], [], []
     for blk in s.b2_blocks:
-        p, u_s, rk = spectral_projector(blk, lambda z: abs(z) <= thr)
-        u_b, _ = invariant_subspace(blk, lambda z: abs(z) > thr)
-        smalls.append(p)
-        bigs.append(np.eye(blk.shape[0], dtype=complex) - p)
+        _, u_s, u_b, e_b = spectral_projector(blk, lambda z: abs(z) <= thr)
         us.append(u_s)
         ub.append(u_b)
-        ranks.append(rk)
-    _read_only(smalls + bigs + us + ub)
-    split = s._splits[lam] = SpectralSplit(lam, thr, smalls, bigs, us, ub, tuple(ranks))
+        eigs.append(e_b)
+    _read_only(us + ub + eigs)
+    split = s._splits[lam] = SpectralSplit(lam, us, ub, eigs)
     return split
 
 
@@ -355,8 +353,8 @@ def _pm_split(s: OddSignatureData, split: SpectralSplit) -> PMSplit:
                 f"+/- splitting does not fill the big part at degree {j}: "
                 f"{plus[j].shape[1]} + {minus[j].shape[1]} != {dims_big[j]}"
             )
-    b_plus = _restrict_even_family(m, d_big, g_big, dims_big, plus)
-    b_minus = _restrict_even_family(m, d_big, g_big, dims_big, minus)
+    b_plus = _restrict_even_family(m, d_big, g_big, plus)
+    b_minus = _restrict_even_family(m, d_big, g_big, minus)
     _read_only([*plus.values(), *minus.values(), b_plus, b_minus])
     return PMSplit(plus, minus, b_plus, b_minus)
 
@@ -372,38 +370,24 @@ def _pm_eigs(s: OddSignatureData, split: SpectralSplit) -> tuple[np.ndarray, np.
     return split._pm_eigs
 
 
-def _restrict_even_family(m: int, d_big, g_big, dims_big,
-                          bases: dict[int, np.ndarray]) -> np.ndarray:
-    """Matrix of B = Gamma D + D Gamma on the direct sum of even-degree subspaces."""
+def _restrict_even_family(m: int, d_big, g_big, bases: dict[int, np.ndarray]) -> np.ndarray:
+    """Matrix of B = Gamma D + D Gamma on the direct sum of even-degree subspaces.
+
+    For odd m, B maps even degree j to the even degrees m-j-1 (Gamma D) and,
+    for j >= 2, m-j+1 (D Gamma); each part is checked to land in its target.
+    """
     degs = sorted(bases)
-    widths = [bases[j].shape[1] for j in degs]
-    offs = np.concatenate([[0], np.cumsum(widths)]).astype(int)
-    n = int(offs[-1])
-    out = np.zeros((n, n), dtype=np.complex128)
-    pos = {j: i for i, j in enumerate(degs)}
-    for a, j in enumerate(degs):
+    offs = np.concatenate([[0], np.cumsum([bases[j].shape[1] for j in degs])]).astype(int)
+    block = {j: slice(offs[i], offs[i + 1]) for i, j in enumerate(degs)}
+    out = np.zeros((offs[-1], offs[-1]), dtype=np.complex128)
+    for j in degs:
         u = bases[j]
-        if u.shape[1] == 0:
-            continue
-        # Gamma D: degree j -> m-j-1;  D Gamma: degree j -> m-j+1
-        images = []
-        if j < m:
-            images.append((m - j - 1, g_big[j + 1] @ (d_big[j] @ u)))
-        if j >= 1:
-            images.append((m - j + 1, d_big[m - j] @ (g_big[j] @ u)))
-        for tgt, img in images:
-            if tgt not in pos:
-                if img.size and sla.norm(img) > RESTRICT_TOL:
-                    raise DegeneracyError("B leaves the even part at degree "
-                                          f"{j} -> {tgt}")
-                continue
-            v = bases[tgt]
-            bidx = pos[tgt]
-            mat = v.conj().T @ img if v.shape[1] else np.zeros((0, u.shape[1]), complex)
-            recon = v @ mat if v.shape[1] else np.zeros_like(img)
-            if sla.norm(recon - img) > RESTRICT_TOL * max(1.0, sla.norm(img)):
-                raise DegeneracyError("B does not preserve the +/- splitting")
-            out[offs[bidx]:offs[bidx + 1], offs[a]:offs[a + 1]] += mat
+        parts = [(m - j - 1, g_big[j + 1], d_big[j] @ u)]
+        if j:
+            parts.append((m - j + 1, d_big[m - j], g_big[j] @ u))
+        for tgt, a, src in parts:
+            out[block[tgt], block[j]] += _restrict(
+                a, src, bases[tgt], f"B on the +/- splitting, degree {j} -> {tgt},")
     return out
 
 
@@ -560,14 +544,9 @@ def eta_xi_finite(s: OddSignatureData, theta: float, lam: float = 0.0) -> EtaXi:
     if not (-np.pi < theta < 0):
         raise StructuralError("theta must lie in (-pi, 0)")
     split = spectral_split(s, lam)
-    m = s.x.m
     xi = 0.0 + 0.0j
     xi_prime = 0.0 + 0.0j
-    for k in range(m + 1):
-        blk = s.b2_blocks[k]
-        p = split.pi_big_blocks[k]
-        eigs = sla.eigvals(blk @ p) if blk.size else np.zeros(0, complex)
-        eigs = eigs[np.abs(eigs) > split.threshold]
+    for k, eigs in enumerate(split.eig_big_blocks):
         check_agmon(eigs, 2 * theta)
         zeta0 = len(eigs)
         zetap = -sum(log_branch(w, 2 * theta) for w in eigs)

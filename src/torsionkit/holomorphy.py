@@ -27,7 +27,7 @@ from .chain import GradedComplex, cone, torsion_acyclic, verify_complex
 from .chirality import ChiralityComplex, graded_determinant, odd_signature, \
     spectral_split
 from .cw import CWData, Representation, build_cochain, cochain_slice
-from .linalg import DegeneracyError, StructuralError, as_cmatrix
+from .linalg import DegeneracyError, StructuralError, as_cmatrix, col_space
 
 CR_TOL = 1e-6
 CR_FLOOR = 1e-10
@@ -190,13 +190,11 @@ def projection_family(x: ChiralityComplex, lam: float) -> tuple[np.ndarray, np.n
     cols_small, cols_d, cols_gd = [], [], []
     for k in range(m + 1):
         u_small = split.u_small_blocks[k]
-        u_big = split.u_big_blocks[k]
         if u_small.shape[1]:
             cols_small.append(s.space.embed(k, u_small))
         # im(D) part of the big subspace at degree k
         if k >= 1:
             img = x.complex.d(k - 1) @ split.u_big_blocks[k - 1]
-            from .linalg import col_space
             b = col_space(img)
             if b.shape[1]:
                 cols_d.append(s.space.embed(k, b))
@@ -204,7 +202,6 @@ def projection_family(x: ChiralityComplex, lam: float) -> tuple[np.ndarray, np.n
         ks = m - k - 1
         if 0 <= ks < m:
             img = x.gamma[ks + 1] @ (x.complex.d(ks) @ split.u_big_blocks[ks])
-            from .linalg import col_space
             b = col_space(img)
             if b.shape[1]:
                 cols_gd.append(s.space.embed(k, b))

@@ -3,10 +3,10 @@
 Everything here works on plain complex128 numpy arrays.  Rank decisions use
 singular-value thresholding with a relative tolerance and report a warning
 band.  Each subspace basis and its rank come from one SVD (``_svd``): the
-rank is cut from that decomposition's own singular values.  Spectral
-projectors of (possibly non-normal) matrices are computed from an ordered
-complex Schur form, never from raw eigenvectors; that one form also gives
-the basis of the selected invariant subspace.
+rank is cut from that decomposition's own singular values.  The spectral
+splitting of a (possibly non-normal) matrix comes from one ordered complex
+Schur form, never from raw eigenvectors: that one form gives the projector,
+orthonormal bases of both invariant subspaces and the rejected eigenvalues.
 """
 
 from __future__ import annotations
@@ -145,49 +145,40 @@ def h_adjoint(a: np.ndarray, h_src: np.ndarray, h_tgt: np.ndarray) -> np.ndarray
     return sla.solve(h_src, a.conj().T @ h_tgt, assume_a="pos")
 
 
-def spectral_projector(a: np.ndarray, select) -> tuple[np.ndarray, np.ndarray, int]:
-    """Spectral projector of a square matrix onto eigenvalues chosen by select().
+def spectral_projector(a: np.ndarray, select):
+    """Spectral splitting of a square matrix at the eigenvalues chosen by select().
 
-    Uses a sorted complex Schur form plus a Sylvester solve, so it is correct
-    for defective (non-diagonalizable) matrices.  select maps an eigenvalue to
-    bool.  Returns (projector, basis, rank): basis holds the leading rank
-    Schur vectors of that one sorted form, an orthonormal basis (columns) of
-    the selected invariant subspace, exactly what invariant_subspace(a,
-    select) returns.
+    One sorted complex Schur form a = Z T Z^H, with the k selected eigenvalues
+    leading, plus a Sylvester solve T11 X - X T22 = -T12, so it is correct for
+    defective (non-diagonalizable) matrices.  select maps an eigenvalue to
+    bool.  Returns (projector, small, big, big_eigs):
+
+    * projector: the spectral projector onto the selected invariant subspace
+      along the complementary one;
+    * small = Z[:, :k]: orthonormal basis (columns) of the selected subspace;
+    * big: orthonormal basis of the complementary invariant subspace, from one
+      reduced QR of Z[:, :k] X + Z[:, k:], on which a acts as T22;
+    * big_eigs = diag(T22): the eigenvalues that select() rejects.
     """
     a = as_cmatrix(a)
     n = a.shape[0]
     if n == 0:
         empty = np.zeros((0, 0), dtype=np.complex128)
-        return empty, empty, 0
+        return empty, empty, empty, np.zeros(0, dtype=np.complex128)
     t, z, sdim = sla.schur(a, output="complex", sort=select)
-    sdim = int(sdim)
-    basis = z[:, :sdim]
-    if sdim == 0:
-        return np.zeros((n, n), dtype=np.complex128), basis, 0
-    if sdim == n:
-        return np.eye(n, dtype=np.complex128), basis, n
-    t11 = t[:sdim, :sdim]
-    t12 = t[:sdim, sdim:]
-    t22 = t[sdim:, sdim:]
+    k = int(sdim)
+    big_eigs = np.diagonal(t)[k:].copy()
+    if k == 0:
+        return np.zeros((n, n), dtype=np.complex128), z[:, :0], z, big_eigs
+    if k == n:
+        return np.eye(n, dtype=np.complex128), z, z[:, n:], big_eigs
     # block-diagonalize: t11 @ x - x @ t22 = -t12
-    x = sla.solve_sylvester(t11, -t22, -t12)
+    x = sla.solve_sylvester(t[:k, :k], -t[k:, k:], -t[:k, k:])
+    big, _ = np.linalg.qr(z[:, :k] @ x + z[:, k:], mode="reduced")
     p_schur = np.zeros((n, n), dtype=np.complex128)
-    p_schur[:sdim, :sdim] = np.eye(sdim)
-    p_schur[:sdim, sdim:] = -x
-    p = z @ p_schur @ z.conj().T
-    return p, basis, sdim
-
-
-def invariant_subspace(a: np.ndarray, select) -> tuple[np.ndarray, int]:
-    """Orthonormal basis (columns) of the invariant subspace for selected eigenvalues."""
-    a = as_cmatrix(a)
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.complex128), 0
-    _, z, sdim = sla.schur(a, output="complex", sort=select)
-    sdim = int(sdim)
-    return z[:, :sdim], sdim
+    p_schur[:k, :k] = np.eye(k)
+    p_schur[:k, k:] = -x
+    return z @ p_schur @ z.conj().T, z[:, :k], big, big_eigs
 
 
 def check_agmon(eigs: np.ndarray, theta: float, tol: float = AGMON_ANGLE_TOL) -> None:

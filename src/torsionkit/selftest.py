@@ -602,12 +602,12 @@ def _dual_relation(seed):
 
 @_criterion("graded_det_multiplicative", max_rel_dev=("<", 1e-10))
 def _graded_det_multiplicative(seed):
-    """Det_gr of a direct sum is the product; 12 pairs of acyclic m = 3 complexes."""
+    """Det_gr of a direct sum is the product; 20 pairs of acyclic m = 3 complexes."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(12):
-        x = random_chirality_complex(rng, 3, 3, acyclic=True)
-        y = random_chirality_complex(rng, 3, 3, acyclic=True)
+    for max_dim in [3] * 12 + [2] * 8:
+        x = random_chirality_complex(rng, 3, max_dim, acyclic=True)
+        y = random_chirality_complex(rng, 3, max_dim, acyclic=True)
         xy = ChiralityComplex(
             x.complex.direct_sum(y.complex),
             [sla.block_diag(gx, gy) for gx, gy in zip(x.gamma, y.gamma)],
@@ -616,7 +616,7 @@ def _graded_det_multiplicative(seed):
         dgx = graded_determinant(odd_signature(x), 0.0, -0.9)
         dgy = graded_determinant(odd_signature(y), 0.0, -0.9)
         worst = max(worst, abs(dg - dgx * dgy) / abs(dg))
-    return {"max_rel_dev": worst}, "12 direct sums"
+    return {"max_rel_dev": worst}, "12 direct sums of max_dim 3, 8 of max_dim 2"
 
 
 @_criterion("schur_vs_eigenprojection", rank=("==", 1), dev=("<", 1e-10))
@@ -625,11 +625,12 @@ def _schur_vs_eigenprojection(seed):
     rng = np.random.default_rng(seed)
     g, = random_isos(rng, [3], 0.3)
     a = g @ (np.diag([1.0, 9.0, 25.0]) + 0.0j) @ sla.inv(g)
-    p, _, rk = spectral_projector(a, lambda z: abs(z) <= 4.0)
+    p, small, _, _ = spectral_projector(a, lambda z: abs(z) <= 4.0)
     w, v = sla.eig(a)
     vi = sla.inv(v)
     p_eig = sum(np.outer(v[:, i], vi[i, :]) for i in range(3) if abs(w[i]) <= 4.0)
-    return {"rank": rk, "dev": sla.norm(p - p_eig)}, "spectrum {1, 9, 25}, cut at |z| = 4"
+    return ({"rank": small.shape[1], "dev": sla.norm(p - p_eig)},
+            "spectrum {1, 9, 25}, cut at |z| = 4")
 
 
 @_criterion("kern_decomposition", dim_gap=("==", 0))
@@ -646,16 +647,17 @@ def _kern_decomposition(seed):
 
 @_criterion("det_gr_eta_xi_identity", max_rel_dev=("<", 1e-10))
 def _det_gr_eta_xi_identity(seed):
-    """Det_gr equals its reconstruction from the finite eta and xi; 12 acyclic complexes."""
+    """Det_gr equals its reconstruction from the finite eta and xi; 20 acyclic complexes."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(12):
+    for _ in range(20):
         m = 1 if rng.integers(0, 2) == 0 else 3
         s = odd_signature(random_chirality_complex(rng, m, 3, acyclic=True))
-        dg = graded_determinant(s, 0.0, -0.9)
-        ex = eta_xi_finite(s, -0.9, 0.0)
-        worst = max(worst, abs(ex.det_gr_reconstruction() - dg) / abs(dg))
-    return {"max_rel_dev": worst}, "12 complexes"
+        for theta in (-0.9, -0.7, -1.9):
+            dg = graded_determinant(s, 0.0, theta)
+            ex = eta_xi_finite(s, theta, 0.0)
+            worst = max(worst, abs(ex.det_gr_reconstruction() - dg) / abs(dg))
+    return {"max_rel_dev": worst}, "20 complexes at theta = -0.9, -0.7, -1.9"
 
 
 @_criterion("lerch_identities", zeta0_dev=("<", 1e-12), dzeta0_dev=("<", 1e-10))

@@ -97,9 +97,13 @@ def test_spectral_split_diagonal_and_above():
                   gamma0=np.eye(2, dtype=complex))
     s = odd_signature(x)
     split = spectral_split(s, 4.0)  # B^2 = diag(1, 9)
-    assert sla.norm(split.pi_small_blocks[0] - np.diag([1.0, 0.0])) < 1e-12
+    u_small, u_big = split.u_small_blocks[0], split.u_big_blocks[0]
+    assert u_small.shape == u_big.shape == (2, 1)
+    assert abs(abs(u_small[0, 0]) - 1.0) < 1e-12 and abs(abs(u_big[1, 0]) - 1.0) < 1e-12
+    assert abs(split.eig_big_blocks[0][0] - 9.0) < 1e-12
     split_all = spectral_split(s, 100.0)
-    assert sla.norm(split_all.pi_small_blocks[0] - np.eye(2)) < 1e-12
+    assert split_all.u_small_blocks[0].shape == (2, 2)
+    assert split_all.u_big_blocks[0].shape == (2, 0) and split_all.eig_big_blocks[0].size == 0
 
 
 def test_spectral_split_gap_error():
@@ -115,22 +119,25 @@ def test_spectral_split_jordan_block():
     x = simple_m1(a, gamma0=np.eye(2, dtype=complex))
     s = odd_signature(x)
     split = spectral_split(s, 1.0)
-    assert sum(split.ranks_small) == 0
+    assert all(u.shape[1] == 0 for u in split.u_small_blocks)
+    assert all(sla.norm(e - 4.0) < 1e-12 for e in split.eig_big_blocks)
 
 
 def test_spectral_split_commutes_with_b_and_d():
-    rng = np.random.default_rng(2)
-    x = random_chirality_complex(rng, 3, 3, acyclic=True)
+    # the spectral projector commutes with B and D exactly when both of its
+    # invariant subspaces are invariant under B and D
+    x = random_chirality_complex(np.random.default_rng(4), 3, 4, acyclic=True)
     s = odd_signature(x)
-    lam = admissible_lambdas(s, 2)[-1]
-    split = spectral_split(s, lam)
-    pi = sla.block_diag(*split.pi_small_blocks)
-    assert sla.norm(pi @ pi - pi) < 1e-8
-    assert sla.norm(pi @ s.b_total - s.b_total @ pi) < 1e-7 * max(1.0, sla.norm(s.b_total))
+    split = spectral_split(s, admissible_lambdas(s, 3)[1])  # 4 of 14 dimensions small
     d_total = np.zeros_like(s.b_total)
     for k in range(x.m):
         d_total[s.space.slice(k + 1), s.space.slice(k)] = x.complex.d(k)
-    assert sla.norm(pi @ d_total - d_total @ pi) < 1e-7 * max(1.0, sla.norm(d_total))
+    for blocks in (split.u_small_blocks, split.u_big_blocks):
+        u = sla.block_diag(*blocks)
+        assert u.shape[1] and sla.norm(u.conj().T @ u - np.eye(u.shape[1])) < 1e-12
+        for a in (s.b_total, d_total):
+            au = a @ u
+            assert sla.norm(au - u @ (u.conj().T @ au)) < 1e-7 * max(1.0, sla.norm(a))
 
 
 def test_graded_determinant_positive_diagonal():
@@ -297,36 +304,6 @@ def test_xi_hat_count_convention():
     assert abs(ex.xi_prime - ex.xi_hat) < 1e-14
 
 
-def test_eta_xi_det_identity_random():
-    rng = np.random.default_rng(6)
-    for trial in range(20):
-        m = 1 if trial % 2 == 0 else 3
-        x = random_chirality_complex(rng, m, 3, acyclic=True)
-        s = odd_signature(x)
-        for th in (-0.7, -1.9):
-            try:
-                dg = graded_determinant(s, 0.0, th)
-                ex = eta_xi_finite(s, th)
-            except (AgmonError, DegeneracyError):
-                continue
-            assert abs(ex.det_gr_reconstruction() - dg) < 1e-10 * abs(dg)
-
-
-def test_graded_det_multiplicative_direct_sum():
-    rng = np.random.default_rng(7)
-    for _ in range(8):
-        x = random_chirality_complex(rng, 3, 2, acyclic=True)
-        y = random_chirality_complex(rng, 3, 2, acyclic=True)
-        xy = ChiralityComplex(
-            x.complex.direct_sum(y.complex),
-            [sla.block_diag(gx, gy) for gx, gy in zip(x.gamma, y.gamma)],
-            [sla.block_diag(hx, hy) for hx, hy in zip(x.h, y.h)])
-        dg = graded_determinant(odd_signature(xy), 0.0, -0.9)
-        dgx = graded_determinant(odd_signature(x), 0.0, -0.9)
-        dgy = graded_determinant(odd_signature(y), 0.0, -0.9)
-        assert abs(dg - dgx * dgy) < 1e-10 * abs(dg)
-
-
 def test_kern_decomposition_dims():
     rng = np.random.default_rng(8)
     for m in (1, 3):
@@ -385,9 +362,8 @@ def test_memoised_split_is_shared_and_read_only():
     assert spectral_split(s, lam) is split
     pm = pm_split(s, split)
     assert pm_split(s, split) is pm
-    arrays = [*split.pi_small_blocks, *split.pi_big_blocks, *split.u_small_blocks,
-              *split.u_big_blocks, *pm.plus_bases.values(), *pm.minus_bases.values(),
-              pm.b_plus, pm.b_minus]
+    arrays = [*split.u_small_blocks, *split.u_big_blocks, *split.eig_big_blocks,
+              *pm.plus_bases.values(), *pm.minus_bases.values(), pm.b_plus, pm.b_minus]
     assert all(a.size for a in split.u_small_blocks + split.u_big_blocks)
     for a in arrays:
         with pytest.raises(ValueError):
@@ -407,3 +383,28 @@ def test_agmon_error_repeats_on_a_memoised_cut():
         else:
             assert value == rho(x, 0.0, th).coordinate
     assert len(errors) == 2 and errors[0] == errors[1]
+
+
+def test_one_schur_form_per_block_per_cut(monkeypatch):
+    # at each new cut spectral_split factors every nonempty B^2 block once, and
+    # eta_xi_finite solves eigenvalue problems of B+ and B- only, not of B^2
+    x = random_chirality_complex(np.random.default_rng(4), 3, 4, acyclic=True)
+    s = odd_signature(x)
+    schur_args, eigvals_args = [], []
+    schur, eigvals = sla.schur, sla.eigvals
+    monkeypatch.setattr(sla, "schur",
+                        lambda a, *args, **kw: schur_args.append(a) or schur(a, *args, **kw))
+    monkeypatch.setattr(sla, "eigvals",
+                        lambda a, *args, **kw: eigvals_args.append(a) or eigvals(a, *args, **kw))
+    blocks = [b for b in s.b2_blocks if b.size]
+    for lam in admissible_lambdas(s, 2):  # the third cut hits the "+/-" rank failure
+        split = spectral_split(s, lam)
+        assert len(schur_args) == len(blocks)
+        assert all(a is b for a, b in zip(schur_args, blocks))
+        schur_args.clear()
+        eta_xi_finite(s, -0.9, lam)
+        pm = pm_split(s, split)
+        assert not schur_args
+        assert [a.shape for a in eigvals_args] == [pm.b_plus.shape, pm.b_minus.shape]
+        assert eigvals_args[0] is pm.b_plus and eigvals_args[1] is pm.b_minus
+        eigvals_args.clear()

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from torsionkit.linalg import (RANK_RTOL, AgmonError, StructuralError, _svd, as_cmatrix,
                                check_agmon, col_space, complement_in_kernel, h_adjoint,
-                               invariant_subspace, log_branch, rank_svd,
-                               spectral_projector)
+                               log_branch, rank_svd, spectral_projector)
 
 from oracles import contour_projector
 
@@ -112,28 +113,32 @@ def test_h_adjoint_definition():
 
 def test_spectral_projector_diagonal():
     a = np.diag([1.0, 9.0]).astype(complex)
-    p, u, rk = spectral_projector(a, lambda z: abs(z) <= 4.0)
-    assert rk == 1
+    p, u, ub, eb = spectral_projector(a, lambda z: abs(z) <= 4.0)
     assert sla.norm(p - np.diag([1.0, 0.0])) < 1e-12
     assert u.shape == (2, 1) and abs(abs(u[0, 0]) - 1.0) < 1e-12
+    assert ub.shape == (2, 1) and abs(abs(ub[1, 0]) - 1.0) < 1e-12
+    assert eb.shape == (1,) and abs(eb[0] - 9.0) < 1e-12
 
 
 def test_spectral_projector_full_and_empty():
     a = np.diag([1.0, 2.0]).astype(complex)
-    p_all, u_all, rk_all = spectral_projector(a, lambda z: abs(z) <= 10.0)
-    assert rk_all == 2 and sla.norm(p_all - np.eye(2)) < 1e-12
+    p_all, u_all, ub_all, eb_all = spectral_projector(a, lambda z: abs(z) <= 10.0)
+    assert sla.norm(p_all - np.eye(2)) < 1e-12
     assert sla.norm(u_all.conj().T @ u_all - np.eye(2)) < 1e-12
-    p_none, u_none, rk_none = spectral_projector(a, lambda z: abs(z) <= 0.5)
-    assert rk_none == 0 and sla.norm(p_none) < 1e-12 and u_none.shape == (2, 0)
-    p_0, u_0, rk_0 = spectral_projector(np.zeros((0, 0)), lambda z: True)
-    assert p_0.shape == u_0.shape == (0, 0) and rk_0 == 0
+    assert ub_all.shape == (2, 0) and eb_all.shape == (0,)
+    p_none, u_none, ub_none, eb_none = spectral_projector(a, lambda z: abs(z) <= 0.5)
+    assert sla.norm(p_none) < 1e-12 and u_none.shape == (2, 0)
+    assert sla.norm(ub_none.conj().T @ ub_none - np.eye(2)) < 1e-12
+    assert sla.norm(np.sort_complex(eb_none) - [1.0, 2.0]) < 1e-12
+    p_0, u_0, ub_0, eb_0 = spectral_projector(np.zeros((0, 0)), lambda z: True)
+    assert p_0.shape == u_0.shape == ub_0.shape == (0, 0) and eb_0.shape == (0,)
 
 
 def test_spectral_projector_jordan_block_against_contour():
     # defective matrix: eigenvalue 2 Jordan block; cut at 1 selects nothing
     a = np.array([[2.0, 1.0], [0.0, 2.0]], dtype=complex)
-    p, _, rk = spectral_projector(a, lambda z: abs(z) <= 1.0)
-    assert rk == 0 and sla.norm(p) < 1e-12
+    p, u, _, _ = spectral_projector(a, lambda z: abs(z) <= 1.0)
+    assert u.shape[1] == 0 and sla.norm(p) < 1e-12
     # and the contour oracle agrees: radius-1 circle encloses no spectrum
     pc = contour_projector(a, 1.0)
     assert sla.norm(pc) < 1e-8
@@ -144,26 +149,63 @@ def test_spectral_projector_nonnormal_against_contour():
     d = np.diag([0.5, 0.7, 3.0, 4.0]).astype(complex)
     g = np.eye(4) + 0.4 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     a = g @ d @ sla.inv(g)
-    p, u, rk = spectral_projector(a, lambda z: abs(z) <= 1.5)
+    p, u, ub, _ = spectral_projector(a, lambda z: abs(z) <= 1.5)
     pc = contour_projector(a, 1.5, n_nodes=4096)
-    assert rk == 2
+    assert u.shape[1] == 2
     assert sla.norm(p - pc) < 1e-8
     assert sla.norm(p @ p - p) < 1e-10
     assert sla.norm(a @ p - p @ a) < 1e-10
-    # the basis spans the projector's range and is the invariant_subspace basis, bit for bit
+    # the small basis spans the projector's range, the big one its kernel
     assert sla.norm(p @ u - u) < 1e-10
-    u_inv, rk_inv = invariant_subspace(a, lambda z: abs(z) <= 1.5)
-    assert rk_inv == rk and np.array_equal(u, u_inv)
+    assert sla.norm(p @ ub) < 1e-10
 
 
-def test_invariant_subspace_orthonormal():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    u, k = invariant_subspace(a, lambda z: z.real > 0)
-    assert sla.norm(u.conj().T @ u - np.eye(k)) < 1e-12
-    # invariance: a u stays in span(u)
-    au = a @ u
-    assert sla.norm(au - u @ (u.conj().T @ au)) < 1e-10
+def _split_test_matrix(rng, n: int, jordan: bool):
+    """(Q T Q^H, cut, eigenvalue tolerance): T upper triangular, Q random unitary.
+
+    The eigenvalues lie in 0.2 <= |z| <= 1 or 2 <= |z| <= 5, so the cut
+    |z| = 1.5 has a gap of 0.5 on each side.  jordan=True makes T a sum of
+    Jordan blocks of sizes 1-3 (ones above the diagonal); otherwise T has a
+    random strictly upper part of norm ~1.  Rounding eps ||A|| ~ 1e-13 moves
+    an eigenvalue of a size-3 Jordan block by its cube root, ~5e-5, in each
+    of the two computations compared (hence 1e-3), and a simple eigenvalue
+    by its condition number times that (1e-9 allows conditions up to 1e4).
+    """
+    def eig():
+        mod = rng.uniform(0.2, 1.0) if rng.random() < 0.5 else rng.uniform(2.0, 5.0)
+        return mod * np.exp(2j * np.pi * rng.random())
+    t = np.zeros((n, n), dtype=complex)
+    if jordan:
+        i = 0
+        while i < n:
+            k = min(int(rng.integers(1, 4)), n - i)
+            t[i:i + k, i:i + k] = eig() * np.eye(k) + np.eye(k, k=1)
+            i += k
+    else:
+        t = np.diag([eig() for _ in range(n)]) + np.triu(
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1) / np.sqrt(2 * n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q @ t @ q.conj().T, 1.5, (1e-3 if jordan else 1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1), jordan=st.booleans())
+def test_spectral_projector_big_basis_and_eigenvalues(n, seed, jordan):
+    a, cut, eig_tol = _split_test_matrix(np.random.default_rng(seed), n, jordan)
+    _, small, big, big_eigs = spectral_projector(a, lambda z: abs(z) <= cut)
+    k = n - big.shape[1]
+    assert small.shape == (n, k) and big_eigs.shape == (n - k,)
+    # orthonormal, invariant, and complementary to the small basis
+    assert sla.norm(big.conj().T @ big - np.eye(n - k), 2) < 1e-12
+    ab = a @ big
+    assert sla.norm(ab - big @ (big.conj().T @ ab), 2) < 1e-10 * sla.norm(a, 2)
+    assert rank_svd(np.hstack([small, big])).rank == n
+    # diag(T22) is the big side of the spectrum, as a multiset
+    ref = sla.eigvals(a)
+    ref = ref[np.abs(ref) > cut]
+    assert ref.shape == big_eigs.shape
+    rows, cols = linear_sum_assignment(np.abs(big_eigs[:, None] - ref[None, :]))
+    assert np.all(np.abs(big_eigs[rows] - ref[cols]) < eig_tol)
 
 
 def test_log_branch_window():

@@ -1,13 +1,17 @@
-"""tools/oracle_census.py: seed parsing and the comparison of two census files."""
+"""tools/oracle_census.py: seed parsing, refined margins and the comparison of two
+census files; and a benchmark op that the census once showed failing."""
 
+import cmath
 import importlib.util
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
-_TOOL = Path(__file__).resolve().parents[1] / "tools" / "oracle_census.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_TOOL = _ROOT / "tools" / "oracle_census.py"
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +81,45 @@ def test_moved_verdict_fails(census, tmp_path, capsys):
     assert "verdict 'ok' -> 'oracle: temporal residual'" in out
     assert f"B {b}: 3 ops, 1 failed, worst margin 1.17 of tolerance" in out
     assert "largest margin shift 0.33 of tolerance" in out
+
+
+def test_refined_margins_are_fractions_of_the_oracle_tolerances(census):
+    eta, xi, xi_prime = 0.5, 0.3 - 0.1j, -1.5
+    exact = cmath.exp(xi - 1j * cmath.pi * xi_prime - 1j * cmath.pi * eta)
+    det = exact * (1 + 2e-11)
+    report = {"results": {"graded_determinant": [det.real, det.imag], "eta": eta,
+                          "xi": [xi.real, xi.imag], "xi_prime": xi_prime,
+                          "max_relative_deviation": 4e-9}}
+    margins = census.refined_margins(json.dumps(report))
+    assert margins.keys() == {"det_gr", "rho_cuts"}
+    assert abs(margins["det_gr"] - 0.2) < 1e-4 and abs(margins["rho_cuts"] - 0.4) < 1e-12
+
+
+def test_refined_margin_shift_is_reported(census, tmp_path, capsys):
+    def refined(det_gr, report):
+        return {**_row(302, 256, report=report), "workload": "cli-mix", "kind": "refined",
+                "margins": {"det_gr": det_gr, "rho_cuts": 0.0027}}
+    a = _write(tmp_path / "a.jsonl", [refined(0.41, "aa")])
+    b = _write(tmp_path / "b.jsonl", [refined(0.14, "bb")])
+    assert census.compare(a, b) == 0
+    out = capsys.readouterr().out
+    assert "ops moved: 1; largest margin shift 0.27 of tolerance " \
+           "(det_gr, op ('cli-mix', 302, 'deck', 256))" in out
+    assert f"B {b}: 1 ops, 0 failed, worst margin 0.14 of tolerance (det_gr" in out
+
+
+def test_cli_mix_seed_302_refined_op_passes_its_oracle(tmp_path, monkeypatch):
+    # deck op 256 missed the Det_gr vs exp(xi - i pi xi' - i pi eta) oracle,
+    # 7.2e-10 against 1e-10, while the big bases of B^2 came from a second
+    # Schur form instead of the small part's one
+    monkeypatch.syspath_prepend(str(_ROOT / "perfbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+    _, deck = workloads.build_deck("cli-mix", 302, str(tmp_path))
+    op = deck[256]
+    code, output, err = workloads.run_op(op)
+    assert (op.kind, code, err) == ("refined", 0, "")
+    assert workloads.check(op, output) is None
 
 
 def test_missing_op_fails(census, tmp_path, capsys):

@@ -9,8 +9,9 @@ which this script only reads.  For each seed it builds the workload's
 warm-up ops and timed deck (``workloads.build_deck``), runs every op once
 through ``workloads.run_op`` and checks it with ``workloads.check``, at one
 BLAS thread.  Each op gives one line: exit code, sha256 of the report and of
-stderr, the verdict and, for gauge ops, the temporal residual and the
-monodromy eigenvalue gap as fractions of the oracle's tolerance.
+stderr, the verdict and its margins as fractions of the oracle's tolerance:
+for gauge ops the temporal residual and the monodromy eigenvalue gap, for
+refined ops the Det_gr reconstruction deviation and rho's spread across cuts.
 
 --compare lists every op whose bytes, verdict or margin moved between two
 such files and prints, per side, the failures and the worst margin; it exits
@@ -63,6 +64,21 @@ def gauge_margins(wl, op, out: dict) -> dict:
             "monodromy": float(np.max(np.abs(ev[0] - ev[1]))) / tol}
 
 
+def _complex(v) -> complex:
+    return complex(v[0], v[1]) if isinstance(v, list) else complex(v)
+
+
+def refined_margins(output: str) -> dict:
+    """Det_gr vs exp(xi - i pi xi' - i pi eta) over 1e-10, rho's spread across cuts over 1e-8."""
+    import numpy as np
+    res = json.loads(output)["results"]
+    det = _complex(res["graded_determinant"])
+    ref = complex(np.exp(_complex(res["xi"]) - 1j * np.pi * _complex(res["xi_prime"])
+                         - 1j * np.pi * _complex(res["eta"])))
+    return {"det_gr": abs(det - ref) / abs(ref) / 1e-10,
+            "rho_cuts": res["max_relative_deviation"] / 1e-8}
+
+
 def census_op(wl, op) -> dict:
     """Run and check one op; an op that raises is recorded with its error, not skipped."""
     try:
@@ -74,7 +90,8 @@ def census_op(wl, op) -> dict:
     if op.kind == "gauge":
         report, margins = gauge_bytes(output), gauge_margins(wl, op, output)
     else:
-        report, margins = output.encode(), {}
+        report = output.encode()
+        margins = refined_margins(output) if op.kind == "refined" and output.strip() else {}
     if code != 0:
         verdict = f"exit {code}: {wl.error_line(output, err)}"
     else:
