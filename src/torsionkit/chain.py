@@ -24,14 +24,18 @@ Conventions (fixed here, used everywhere else):
 
 Each GradedComplex factors its differentials once.  Its differentials are
 private read-only copies, and a memo that lives and dies with the complex
-holds the spectral scale, the composition defect and one SVD per (degree,
-full/thin job).  complex_scale, verify_complex, cohomology, canonical_iso,
-torsion_acyclic and the long exact sequence read that memo; none of them
-calls LAPACK on a differential itself.  A rank is still cut per call, from
-the memoised SVD's own singular values with the caller's rtol and floor, so
-the memo does not depend on the tolerance.  A full and a thin SVD of one
-matrix are kept apart, never sliced from each other: LAPACK may round their
-vectors differently.
+holds the composition defect and one full SVD d_j = U S V^H per degree.
+Everything else is a slice of that SVD: for r = rank d_j, ker d_j is
+V[:, r:], im d_j is U[:, :r], the row space is V[:, :r], and the spectral
+scale is the largest s[0].  complex_scale, verify_complex, cohomology,
+canonical_iso, torsion_acyclic and the long exact sequence read that memo;
+none of them calls LAPACK on a differential itself.  A rank is still cut per
+call, from the memoised singular values with the caller's rtol and floor, so
+the memo does not depend on the tolerance.  Slicing is safe: a slice spans
+the same subspace as a thin SVD's vectors and differs from them only by
+rounding, torsion does not depend on the complement chosen, and since every
+reader cuts its ranks from the same singular values, the ranks behind
+cohomology and canonical_iso agree by construction.
 """
 
 from __future__ import annotations
@@ -115,14 +119,14 @@ class GradedComplex:
             return worst
         return self._cached("defect", compute)
 
-    def _svd(self, j: int, rtol: float, floor: float, full_matrices: bool):
-        """linalg._svd of d_j; the SVD is memoised per (j, full_matrices), the rank is not."""
+    def _svd(self, j: int, rtol: float, floor: float):
+        """linalg._svd of d_j; the full SVD is memoised per degree, the rank is not."""
         def compute():
-            out = _factor(self.d(j), full_matrices)
+            out = _factor(self.d(j))
             for a in out:
                 a.flags.writeable = False
             return out
-        u, s, vh = self._cached(("svd", j, full_matrices), compute)
+        u, s, vh = self._cached(("svd", j), compute)
         return u, vh, _rank(s, rtol, floor)
 
     def direct_sum(self, other: "GradedComplex") -> "GradedComplex":
@@ -205,15 +209,10 @@ class Cohomology:
 def complex_scale(c: GradedComplex) -> float:
     """Largest singular value over all differentials (spectral scale of the complex).
 
-    Computed once per complex and kept in its memo.
+    Read from the memoised full SVDs: the largest of their s[0].
     """
-    def compute():
-        out = 0.0
-        for d in c.differentials:
-            if d.size:
-                out = max(out, float(sla.norm(d, 2)))
-        return out
-    return c._cached("scale", compute)
+    s = [c._svd(j, RANK_RTOL, 0.0)[2].singular_values for j in range(len(c.differentials))]
+    return float(max((v[0] for v in s if v.size), default=0.0))
 
 
 def cohomology(c: GradedComplex, rtol: float = RANK_RTOL, tag: str = "auto") -> Cohomology:
@@ -221,18 +220,17 @@ def cohomology(c: GradedComplex, rtol: float = RANK_RTOL, tag: str = "auto") -> 
 
     Rank decisions use the spectral scale of the whole complex as an absolute
     floor so that numerically-zero differentials do not contribute rank.  Per
-    degree, the full SVD of d_j gives ker d_j and its rank, the thin SVD of
-    d_{j-1} gives im d_{j-1} and its rank.  Both come from the complex's memo:
-    each is computed on first use only, and canonical_iso and torsion_acyclic
-    reuse the thin ones.
+    degree, ker d_j and im d_{j-1} are slices of the memoised full SVDs of d_j
+    and d_{j-1}, with the ranks cut from their singular values; each SVD is
+    computed on first use only, and canonical_iso and torsion_acyclic reuse it.
     """
     if not verify_complex(c):
         raise StructuralError(f"not a complex: composition defect {c.composition_defect():.3e}")
     floor = complex_scale(c)
     dims, reps, warns = [], [], []
     for j in range(len(c.dims)):
-        _, vh, rk_out = c._svd(j, rtol, floor, full_matrices=True)
-        u, _, rk_in = c._svd(j - 1, rtol, floor, full_matrices=False)
+        _, vh, rk_out = c._svd(j, rtol, floor)
+        u, _, rk_in = c._svd(j - 1, rtol, floor)
         if rk_out.ill_conditioned or rk_in.ill_conditioned:
             warns.append(f"ill-conditioned rank decision at degree {j}")
         hdim = c.dims[j] - rk_out.rank - rk_in.rank
@@ -313,7 +311,7 @@ def _row_spaces(c: GradedComplex, rtol: float) -> tuple[list[np.ndarray], list[i
     floor = complex_scale(c)
     v, ranks = [], []
     for j in range(len(c.dims)):
-        _, vh, rk = c._svd(j, rtol, floor, full_matrices=False)
+        _, vh, rk = c._svd(j, rtol, floor)
         v.append(vh[:rk.rank, :].conj().T)
         ranks.append(rk.rank)
     return v, ranks
@@ -326,9 +324,9 @@ def canonical_iso(c: GradedComplex, coh: Cohomology | None = None,
 
     Splitting construction: C^j = d V_{j-1} (+) H_j (+) V_j with H_j the given
     cohomology representatives and V_j the row space of d_j; the coordinate
-    picks up prod_j det([d V_{j-1} | H_j | V_j])^{(-1)^{j+1}}.  The thin SVD
-    of each d_j gives V_j and rank d_j, and the ranks fix the dims coh must
-    have.  Those SVDs, the scale and the composition defect come from the
+    picks up prod_j det([d V_{j-1} | H_j | V_j])^{(-1)^{j+1}}.  The memoised
+    full SVD of each d_j gives V_j and rank d_j, and the ranks fix the dims
+    coh must have.  Those SVDs and the composition defect come from the
     complex's memo, so after cohomology(c) this decomposes nothing.  On
     acyclic input this equals torsion_acyclic, whose assembly it shares.
     """
@@ -471,7 +469,7 @@ def _class_coordinates(c: GradedComplex, coh: Cohomology, j: int,
     if coh.dims[j] == 0 or vectors.shape[1] == 0:
         return np.zeros((coh.dims[j], vectors.shape[1]), dtype=np.complex128)
     if j > 0:
-        u, _, rk = c._svd(j - 1, RANK_RTOL, 0.0, full_matrices=False)
+        u, _, rk = c._svd(j - 1, RANK_RTOL, 0.0)
         img = u[:, :rk.rank]
     else:
         img = np.zeros((k, 0), complex)

@@ -44,6 +44,7 @@ from .chain import (
     GradedComplex,
     canonical_iso,
     cohomology,
+    complex_scale,
     verify_complex,
     _class_coordinates,
 )
@@ -341,12 +342,15 @@ def _pm_split(s: OddSignatureData, split: SpectralSplit) -> PMSplit:
     m = x.m
     d_big, g_big = _big_restriction(s, split)
     dims_big = tuple(u.shape[1] for u in split.u_big_blocks)
+    # an absolute floor: a restriction of D that vanishes in exact arithmetic
+    # must not get full rank from its own roundoff
+    floor = complex_scale(x.complex)
     plus, minus = {}, {}
     for j in range(0, m + 1, 2):
         ksrc = m - j - 1
-        plus[j] = col_space(g_big[ksrc + 1] @ d_big[ksrc]) if ksrc < m else \
+        plus[j] = col_space(g_big[ksrc + 1] @ d_big[ksrc], floor=floor) if ksrc < m else \
             np.zeros((dims_big[j], 0), complex)
-        minus[j] = col_space(d_big[j - 1]) if j >= 1 else \
+        minus[j] = col_space(d_big[j - 1], floor=floor) if j >= 1 else \
             np.zeros((dims_big[j], 0), complex)
         if plus[j].shape[1] + minus[j].shape[1] != dims_big[j]:
             raise DegeneracyError(

@@ -134,6 +134,15 @@ class SectionModel:
     i_maps: Callable[[complex], list[np.ndarray]]
 
 
+def zero_section_model(dims) -> SectionModel:
+    """The zero chirality complex mapping into cochains of the given dims: rho/tau = 1/tau."""
+    n = len(dims)
+    zero = ChiralityComplex(GradedComplex((0,) * n, [np.zeros((0, 0), complex)] * (n - 1)),
+                            [np.zeros((0, 0), complex)] * n, [np.zeros((0, 0), complex)] * n)
+    return SectionModel(ComplexFamily(lambda z: zero),
+                        lambda z: [np.zeros((d, 0), complex) for d in dims])
+
+
 def doubled_cochain(k: CWData, rep: Representation) -> GradedComplex:
     """C_d = C(K, K') (+) C(K): the doubled complex of the boundary setup."""
     full = build_cochain(k, rep)

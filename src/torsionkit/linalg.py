@@ -2,8 +2,9 @@
 
 Everything here works on plain complex128 numpy arrays.  Rank decisions use
 singular-value thresholding with a relative tolerance and report a warning
-band.  Each subspace basis and its rank come from one SVD (``_svd``): the
-rank is cut from that decomposition's own singular values.  The spectral
+band.  A matrix is factored once, by one full SVD (``_factor``): its kernel,
+image and row space are slices of it, and each rank is cut from that
+decomposition's own singular values (``_svd``).  The spectral
 splitting of a (possibly non-normal) matrix comes from one ordered complex
 Schur form, never from raw eigenvectors: that one form gives the projector,
 orthonormal bases of both invariant subspaces and the rejected eigenvalues.
@@ -84,32 +85,33 @@ def rank_svd(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0) -> Rank
     return _rank(sla.svdvals(a), rtol, floor)
 
 
-def _factor(a: np.ndarray, full_matrices: bool):
-    """One SVD of a as (u, s, vh).
+def _factor(a: np.ndarray):
+    """The full SVD a = u diag(s) vh as (u, s, vh), with u and vh square.
 
-    An empty or all-zero matrix skips LAPACK: s is zero and u, vh are
-    identities, so the kernel is the whole source space.
+    For rank r, ker a = vh[r:]^H, im a = u[:, :r] and the row space is
+    vh[:r]^H.  An empty or all-zero matrix skips LAPACK: s is zero and u, vh
+    are identities, so the kernel is the whole source space.
     """
     a = as_cmatrix(a)
     m, n = a.shape
     if a.size == 0 or not np.any(a):
         return (np.eye(m, dtype=np.complex128), np.zeros(min(m, n)),
                 np.eye(n, dtype=np.complex128))
-    return sla.svd(a, full_matrices=full_matrices)
+    return sla.svd(a)
 
 
-def _svd(a: np.ndarray, rtol: float, floor: float, full_matrices: bool):
-    """One SVD of a: (u, vh, RankResult), the rank cut from that SVD's singular values.
+def _svd(a: np.ndarray, rtol: float, floor: float):
+    """The full SVD of a: (u, vh, RankResult), the rank cut from its own singular values.
 
-    Every subspace basis and its rank come from this one decomposition.
+    Every subspace basis and its rank are slices of this one decomposition.
     """
-    u, s, vh = _factor(a, full_matrices)
+    u, s, vh = _factor(a)
     return u, vh, _rank(s, rtol, floor)
 
 
 def col_space(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of a."""
-    u, _, rk = _svd(a, rtol, floor, full_matrices=False)
+    u, _, rk = _svd(a, rtol, floor)
     return u[:, :rk.rank]
 
 
@@ -127,14 +129,10 @@ def complement_in_kernel(ker: np.ndarray, img: np.ndarray,
     # reaches the 1e-8 warning floor, and the SVD would keep no column
     if np.linalg.norm(proj) <= 1e-9:
         return np.zeros((ker.shape[0], 0), dtype=np.complex128), False
-    u, s, _ = sla.svd(proj, full_matrices=False)
-    smax = s[0] if len(s) else 0.0
-    if smax == 0.0:
-        return np.zeros((ker.shape[0], 0), dtype=np.complex128), False
+    u, s, _ = _factor(proj)
     # singular values of the projected frame are ~1 on the complement, ~0 on img
-    keep = s > 0.5
     ill = bool(np.any((s > 1e-8) & (s <= 0.5)))
-    return u[:, keep], ill
+    return u[:, :int(np.sum(s > 0.5))], ill
 
 
 def h_adjoint(a: np.ndarray, h_src: np.ndarray, h_tgt: np.ndarray) -> np.ndarray:

@@ -28,10 +28,10 @@ from .chirality import (ChiralityComplex, admissible_lambdas, dual_relation_resi
                         random_chirality_complex, rho, spectral_split)
 from .cw import (CWData, Representation, build_cochain, check_sigma_relation, sigma,
                  trivial_representation)
-from .holomorphy import (ComplexFamily, RepresentationCurve, SectionModel, cr_order,
-                         cr_residual, doubled_cochain, graded_det_along_curve,
+from .holomorphy import (ComplexFamily, RepresentationCurve, cr_order, cr_residual,
+                         doubled_cochain, graded_det_along_curve,
                          projection_derivative_check, section_ratio,
-                         section_ratio_residual)
+                         section_ratio_residual, zero_section_model)
 from .linalg import DegeneracyError, StructuralError, spectral_projector
 from .spectral import (CircleModel, ZetaEvaluator, eta_circle, gluing_check_lesch,
                        k_squared_holomorphy, rat_circle, zeta_det_laplacian_circle)
@@ -229,15 +229,6 @@ def linear_curve(radius: float = 0.25) -> RepresentationCurve:
     """t = 2 + z, a rank-1 curve for circle_cw."""
     return RepresentationCurve(1, {"t": [np.array([[2.0]], complex),
                                          np.array([[1.0]], complex)]}, radius)
-
-
-def zero_section_model(dims) -> SectionModel:
-    """The zero chirality complex mapping into cochains of the given dims: rho/tau = 1/tau."""
-    n = len(dims)
-    zero = ChiralityComplex(GradedComplex((0,) * n, [np.zeros((0, 0), complex)] * (n - 1)),
-                            [np.zeros((0, 0), complex)] * n, [np.zeros((0, 0), complex)] * n)
-    return SectionModel(ComplexFamily(lambda z: zero),
-                        lambda z: [np.zeros((d, 0), complex) for d in dims])
 
 
 def seeded_linear_family(rng: np.random.Generator) -> ComplexFamily:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import example, given, settings, strategies as st
 
 from torsionkit.chain import (DetLineElement, GradedComplex,
                               NotAcyclicError, ShortExactSequenceData,
-                              canonical_iso, cohomology, cone, fusion,
+                              canonical_iso, cohomology, complex_scale, cone, fusion,
                               les_of_ses, torsion_acyclic, verify_complex)
-from torsionkit.linalg import StructuralError
+from torsionkit.linalg import RANK_RTOL, StructuralError
 from torsionkit.selftest import (conjugate, conjugated_ses, coordinate_ses,
                                  random_acyclic_complex, random_complex, random_isos,
                                  split_ses)
@@ -105,13 +106,12 @@ def four_degree_complex(ranks=(1, 2, 1), seed=5):
 
 
 def count_svds(monkeypatch):
-    """Record the matrices (and full_matrices jobs) passed to scipy.linalg.svd; count svdvals."""
-    seen = {"svd": [], "svd_jobs": [], "svdvals": 0}
+    """Record the matrices passed to scipy.linalg.svd; count svdvals."""
+    seen = {"svd": [], "svdvals": 0}
     svd, svdvals = sla.svd, sla.svdvals
 
     def counting_svd(a, *args, **kwargs):
         seen["svd"].append(a)
-        seen["svd_jobs"].append((a, kwargs.get("full_matrices", True)))
         return svd(a, *args, **kwargs)
 
     def counting_svdvals(a, *args, **kwargs):
@@ -124,17 +124,26 @@ def count_svds(monkeypatch):
 
 
 def count_lapack(monkeypatch):
-    """count_svds plus the sla.norm(., 2) calls (each one a numpy SVD)."""
+    """count_svds plus the sla.norm(., 2) calls and every numpy SVD."""
     seen = count_svds(monkeypatch)
-    seen["norm2"] = []
+    seen["norm2"], seen["numpy_svd"] = [], 0
     norm = sla.norm
+    # the module globals that np.linalg.norm (and so sla.norm) looks svd up in
+    numpy_linalg = np.linalg.norm.__wrapped__.__globals__
+    numpy_svd = numpy_linalg["svd"]
 
     def counting_norm(a, ord=None, *args, **kwargs):
         if ord == 2:
             seen["norm2"].append(a)
         return norm(a, ord, *args, **kwargs)
 
+    def counting_numpy_svd(*args, **kwargs):
+        seen["numpy_svd"] += 1
+        return numpy_svd(*args, **kwargs)
+
     monkeypatch.setattr(sla, "norm", counting_norm)
+    monkeypatch.setitem(numpy_linalg, "svd", counting_numpy_svd)
+    monkeypatch.setattr(np.linalg, "svd", counting_numpy_svd)
     return seen
 
 
@@ -155,10 +164,9 @@ def test_one_svd_per_differential_and_job(monkeypatch):
     canonical_iso(c, coh)
     canonical_iso(c)
     torsion_acyclic(c)
-    jobs = [(id(a), full) for a, full in seen["svd_jobs"] if any(a is d for d in c.differentials)]
-    assert len(jobs) == len(set(jobs)) == 2 * len(c.differentials)
-    assert sorted(map(id, seen["norm2"])) == sorted(map(id, c.differentials))
-    assert seen["svdvals"] == 0
+    # one full SVD per differential and no other; the scale is its largest s[0]
+    assert sorted(map(id, seen["svd"])) == sorted(map(id, c.differentials))
+    assert seen["norm2"] == [] and seen["numpy_svd"] == 0 and seen["svdvals"] == 0
 
 
 def test_differentials_are_private_read_only_copies():
@@ -180,14 +188,51 @@ def test_differentials_are_private_read_only_copies():
 
 def test_cohomology_two_svds_per_degree(monkeypatch):
     c = four_degree_complex()
-    seen = count_svds(monkeypatch)
+    seen = count_lapack(monkeypatch)
     cohomology(c)
-    # each d_j is decomposed once for ker d_j and once for im d_j; the other
+    # one full SVD of each d_j gives ker d_j, im d_j and the scale; the other
     # SVDs are complement_in_kernel's, at most one per degree
     for d in c.differentials:
-        assert sum(a is d for a in seen["svd"]) == 2
-    assert len(seen["svd"]) <= 2 * len(c.differentials) + len(c.dims)
-    assert seen["svdvals"] == 0
+        assert sum(a is d for a in seen["svd"]) == 1
+    assert len(seen["svd"]) <= len(c.differentials) + len(c.dims)
+    assert seen["norm2"] == [] and seen["numpy_svd"] == 0 and seen["svdvals"] == 0
+
+
+def _projector(basis):
+    return basis @ basis.conj().T
+
+
+# kernel, image and row space of one memoised full SVD against a fresh thin
+# SVD.  Singular values lie in [1e-3, 1] * scale, so subspace rounding is about
+# eps * 1e3 and the bound 1e-10 on projector differences was fixed beforehand.
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 64), cols=st.integers(1, 64), rank_share=st.floats(0.0, 1.0),
+       log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+@example(rows=64, cols=64, rank_share=1.0, log_scale=3.0, seed=0)
+@example(rows=64, cols=5, rank_share=0.0, log_scale=-3.0, seed=1)
+@example(rows=3, cols=64, rank_share=1.0, log_scale=0.0, seed=2)
+def test_memo_slices_match_a_thin_svd(rows, cols, rank_share, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    r = round(rank_share * min(rows, cols))
+
+    def frame(n):
+        q, _ = np.linalg.qr(rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))
+        return q
+
+    sv = 10.0 ** (log_scale + rng.uniform(-3.0, 0.0, r))
+    d = (frame(rows) * sv) @ frame(cols).conj().T
+    c = GradedComplex((cols, rows), [d])
+    u, vh, rk = c._svd(0, RANK_RTOL, complex_scale(c))
+    ut, s_thin, vht = sla.svd(d, full_matrices=False)
+    rt = int(np.sum(s_thin > RANK_RTOL * s_thin[0]))
+    assert rk.rank == rt == r
+    ker, ker_t = _projector(vh[r:].conj().T), np.eye(cols) - _projector(vht[:r].conj().T)
+    pairs = [(ker, ker_t), (_projector(u[:, :r]), _projector(ut[:, :r])),
+             (_projector(vh[:r].conj().T), _projector(vht[:r].conj().T))]
+    for p, p_thin in pairs:
+        assert sla.norm(p - p_thin, 2) <= 1e-10
+    norm2 = sla.norm(d, 2)
+    assert abs(complex_scale(c) - norm2) <= 1e-14 * norm2
 
 
 def test_det_line_element_tag_discipline():

@@ -19,6 +19,8 @@ from torsionkit.cli import main
 from torsionkit.linalg import SpectralGapError, StructuralError
 from torsionkit.schemas import encode_complex, encode_real
 
+from test_chain import count_lapack
+
 CIRCLE_CW = {
     "kind": "cw",
     "generators": ["t"],
@@ -113,29 +115,13 @@ def test_torsion_report_deterministic(tmp_path, capsys):
 
 def test_torsion_command_factors_each_differential_once(tmp_path, monkeypatch):
     # 32-cell circle, rank 4, K' empty: d_0 is 128 x 128.  The full and the
-    # relative complex are one object, so cohomology takes one full and one
-    # thin SVD of d_0, canonical_iso none, and the scale one numpy SVD.
+    # relative complex are one object, so cohomology takes the one SVD of d_0,
+    # canonical_iso none, and the scale is read from that SVD.
     n = 32
     hol = 3.0 * np.eye(4) + 0.5 * np.random.default_rng(4).standard_normal((4, 4))
     cw = write(tmp_path, "cw.json", circle_doc(n))
     rep = write(tmp_path, "rep.json", rep_doc({"t": hol}))
-    calls = {"scipy": 0, "numpy": 0}
-    scipy_svd = sla.svd
-    # the module globals that np.linalg.norm (and so sla.norm) looks svd up in
-    numpy_linalg = np.linalg.norm.__wrapped__.__globals__
-    numpy_svd = numpy_linalg["svd"]
-
-    def scipy_counted(*args, **kwargs):
-        calls["scipy"] += 1
-        return scipy_svd(*args, **kwargs)
-
-    def numpy_counted(*args, **kwargs):
-        calls["numpy"] += 1
-        return numpy_svd(*args, **kwargs)
-
-    monkeypatch.setattr(sla, "svd", scipy_counted)
-    monkeypatch.setitem(numpy_linalg, "svd", numpy_counted)
-    monkeypatch.setattr(np.linalg, "svd", numpy_counted)
+    seen = count_lapack(monkeypatch)
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(["torsion", cw, rep]) == 0
@@ -144,7 +130,7 @@ def test_torsion_command_factors_each_differential_once(tmp_path, monkeypatch):
     assert res["sigma"] == res["sigma_relative"]
     sigma_1 = np.linalg.det(hol - np.eye(4))
     assert abs(abs(complex(*res["sigma"]) / sigma_1) - 1.0) < 1e-9
-    assert calls["scipy"] <= 2 and calls["numpy"] == 1
+    assert len(seen["svd"]) == 1 and seen["numpy_svd"] == 0
 
 
 def test_torsion_slices_the_relative_and_boundary_complexes(tmp_path, monkeypatch):

@@ -10,10 +10,9 @@ from torsionkit.holomorphy import (ComplexFamily, RepresentationCurve, SectionMo
                                    cr_order, cr_residual, doubled_cochain,
                                    graded_det_along_curve, projection_derivative_check,
                                    projection_family, section_ratio,
-                                   section_ratio_residual)
+                                   section_ratio_residual, zero_section_model)
 from torsionkit.linalg import SpectralGapError, StructuralError
-from torsionkit.selftest import (circle_cw, linear_curve, seeded_linear_family,
-                                 zero_section_model)
+from torsionkit.selftest import circle_cw, linear_curve, seeded_linear_family
 
 
 def test_cr_residual_polynomial():

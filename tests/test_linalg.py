@@ -26,7 +26,7 @@ def test_rank_warning_band():
 def test_spaces_consistency():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    _, vh, rk = _svd(a, RANK_RTOL, 0.0, full_matrices=True)
+    _, vh, rk = _svd(a, RANK_RTOL, 0.0)
     k = vh[rk.rank:, :].conj().T
     assert k.shape == (6, 2)
     assert sla.norm(a @ k) < 1e-12
@@ -43,18 +43,18 @@ def test_spaces_take_one_svd_each(monkeypatch):
     monkeypatch.setattr(sla, "svd", lambda m, **kw: calls.append(kw) or svd(m, **kw))
     monkeypatch.setattr(sla, "svdvals", None)
     assert col_space(a).shape == (5, 2)
-    _, vh, rk = _svd(a, RANK_RTOL, 0.0, full_matrices=True)
+    _, vh, rk = _svd(a, RANK_RTOL, 0.0)
     assert rk.rank == 2 and sla.norm(a @ vh[2:].conj().T) < 1e-12
-    assert [kw["full_matrices"] for kw in calls] == [False, True]
+    assert calls == [{}, {}]  # one full (default) SVD each
 
 
 def test_spaces_of_zero_matrix_skip_the_svd(monkeypatch):
     monkeypatch.setattr(sla, "svd", None)
     z = np.zeros((3, 2), complex)
-    u, vh, rk = _svd(z, RANK_RTOL, 0.0, full_matrices=True)
+    u, vh, rk = _svd(z, RANK_RTOL, 0.0)
     assert rk.rank == 0 and np.array_equal(vh, np.eye(2)) and np.array_equal(u, np.eye(3))
     assert col_space(z).shape == (3, 0)
-    _, vh, rk = _svd(np.zeros((0, 3), complex), RANK_RTOL, 0.0, full_matrices=True)
+    _, vh, rk = _svd(np.zeros((0, 3), complex), RANK_RTOL, 0.0)
     assert rk.rank == 0 and np.array_equal(vh, np.eye(3))
 
 
