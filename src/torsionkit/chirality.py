@@ -7,9 +7,9 @@ inner products h.  From it we build:
 * the dual differential D' with Gamma D = (D')^{*h} Gamma,
 * the odd signature operator B = Gamma D + D Gamma (degree pairs k <-> m-k-1),
 * the spectral splitting of B^2 at a cut |mu| <= lambda: per degree, one
-  sorted Schur form gives orthonormal bases of the small (|mu| <= lambda)
-  and big invariant subspaces and the big eigenvalues (valid for defective
-  matrices),
+  complex Schur form, made once, is reordered per cut; it gives orthonormal
+  bases of the small (|mu| <= lambda) and big invariant subspaces and the
+  big eigenvalues (valid for defective matrices),
 * the graded determinant of the invertible part: B restricted to even degrees
   splits into B+ on ker(D Gamma) = im(Gamma D) and B- on ker(Gamma D) = im(D),
   and Det_gr = Det_theta(B+_even) / Det_theta(-B-_even) with branch logs,
@@ -145,15 +145,14 @@ class OddSignatureData:
     x: ChiralityComplex
     space: BlockSpace
     b_total: np.ndarray
-    b2_blocks: list[np.ndarray]
-    b2_eigs: list[np.ndarray]
+    # per degree, the complex Schur form (t, z) of the B^2 block, made once
+    b2_schur: list[tuple[np.ndarray, np.ndarray]]
     # cut lambda -> its SpectralSplit, filled by spectral_split
     _splits: dict[float, SpectralSplit] = field(default_factory=dict, init=False,
                                                 repr=False, compare=False)
 
     def all_b2_eigs(self) -> np.ndarray:
-        return np.concatenate([e for e in self.b2_eigs if e.size]) \
-            if any(e.size for e in self.b2_eigs) else np.zeros(0, complex)
+        return np.concatenate([np.diagonal(t) for t, _ in self.b2_schur])
 
 
 def odd_signature(x: ChiralityComplex) -> OddSignatureData:
@@ -174,18 +173,18 @@ def odd_signature(x: ChiralityComplex) -> OddSignatureData:
             blk = x.complex.d(m - k) @ x.gamma[k]
             b[space.slice(tgt), space.slice(k)] += blk
     b2 = b @ b
-    blocks, eigs = [], []
+    forms = []
     for k in range(m + 1):
         blk = b2[space.slice(k), space.slice(k)]
-        blocks.append(blk)
-        eigs.append(sla.eigvals(blk) if blk.size else np.zeros(0, complex))
+        forms.append(sla.schur(blk, output="complex") if blk.size else (blk, blk))
+    _read_only([a for form in forms for a in form])
     # off-degree parts of B^2 vanish identically (D^2 = 0 and the involution)
     off = b2.copy()
     for k in range(m + 1):
         off[space.slice(k), space.slice(k)] = 0.0
     if off.size and sla.norm(off) > 1e-8 * max(1.0, sla.norm(b2)):
         raise DegeneracyError("B^2 does not preserve degrees; input data inconsistent")
-    return OddSignatureData(x, space, b, blocks, eigs)
+    return OddSignatureData(x, space, b, forms)
 
 
 @dataclass
@@ -229,8 +228,9 @@ def spectral_split(s: OddSignatureData, lam: float,
     eigenvalue mu of B^2 (relative to the spectral scale).  That check runs
     on every call; the split itself depends on lambda alone and is memoised
     on s, so every call at one cut returns the same SpectralSplit, whose
-    arrays are shared and read-only.  Per block, one sorted Schur form gives
-    both bases and the big eigenvalues (linalg.spectral_projector).
+    arrays are shared and read-only.  Per block, a reorder of the Schur form
+    made by odd_signature gives both bases and the big eigenvalues
+    (linalg.spectral_projector).
     """
     if lam < 0:
         raise StructuralError("lambda must be >= 0")
@@ -245,12 +245,8 @@ def spectral_split(s: OddSignatureData, lam: float,
     split = s._splits.get(lam)
     if split is not None:
         return split
-    us, ub, eigs = [], [], []
-    for blk in s.b2_blocks:
-        _, u_s, u_b, e_b = spectral_projector(blk, lambda z: abs(z) <= thr)
-        us.append(u_s)
-        ub.append(u_b)
-        eigs.append(e_b)
+    us, ub, eigs = map(list, zip(*(spectral_projector(t, z, lambda w: abs(w) <= thr)
+                                   for t, z in s.b2_schur)))
     _read_only(us + ub + eigs)
     split = s._splits[lam] = SpectralSplit(lam, us, ub, eigs)
     return split

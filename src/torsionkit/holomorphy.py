@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .chain import GradedComplex, cone, torsion_acyclic, verify_complex
+from .chain import GradedComplex, complex_scale, cone, torsion_acyclic, verify_complex
 from .chirality import ChiralityComplex, graded_determinant, odd_signature, \
     spectral_split
 from .cw import CWData, Representation, build_cochain, cochain_slice
@@ -196,6 +196,8 @@ def projection_family(x: ChiralityComplex, lam: float) -> tuple[np.ndarray, np.n
     split = spectral_split(s, lam)
     m = x.m
     total = s.space.total
+    # an image that vanishes in exact arithmetic must not get rank from roundoff
+    floor = complex_scale(x.complex)
     cols_small, cols_d, cols_gd = [], [], []
     for k in range(m + 1):
         u_small = split.u_small_blocks[k]
@@ -204,14 +206,14 @@ def projection_family(x: ChiralityComplex, lam: float) -> tuple[np.ndarray, np.n
         # im(D) part of the big subspace at degree k
         if k >= 1:
             img = x.complex.d(k - 1) @ split.u_big_blocks[k - 1]
-            b = col_space(img)
+            b = col_space(img, floor=floor)
             if b.shape[1]:
                 cols_d.append(s.space.embed(k, b))
         # im(Gamma D) part at degree k (source degree m-k-1)
         ks = m - k - 1
         if 0 <= ks < m:
             img = x.gamma[ks + 1] @ (x.complex.d(ks) @ split.u_big_blocks[ks])
-            b = col_space(img)
+            b = col_space(img, floor=floor)
             if b.shape[1]:
                 cols_gd.append(s.space.embed(k, b))
     u_s = np.hstack(cols_small) if cols_small else np.zeros((total, 0), complex)

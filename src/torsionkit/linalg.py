@@ -5,8 +5,9 @@ singular-value thresholding with a relative tolerance and report a warning
 band.  A matrix is factored once, by one full SVD (``_factor``): its kernel,
 image and row space are slices of it, and each rank is cut from that
 decomposition's own singular values (``_svd``).  The spectral
-splitting of a (possibly non-normal) matrix comes from one ordered complex
-Schur form, never from raw eigenvectors: that one form gives the projector,
+splitting of a (possibly non-normal) matrix comes from its complex Schur
+form, never from raw eigenvectors.  The form is made once; each cut reorders
+it (``_reorder``) and solves one triangular Sylvester equation, which gives
 orthonormal bases of both invariant subspaces and the rejected eigenvalues.
 """
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 RANK_RTOL = 1e-8          # relative singular-value threshold
 RANK_WARN_BAND = 10.0     # singular values within 10x of the cut are suspicious
@@ -143,40 +145,38 @@ def h_adjoint(a: np.ndarray, h_src: np.ndarray, h_tgt: np.ndarray) -> np.ndarray
     return sla.solve(h_src, a.conj().T @ h_tgt, assume_a="pos")
 
 
-def spectral_projector(a: np.ndarray, select):
-    """Spectral splitting of a square matrix at the eigenvalues chosen by select().
+def _reorder(t: np.ndarray, z: np.ndarray, select):
+    """(t, z, k): the complex Schur form (t, z) with the k eigenvalues select() picks leading.
 
-    One sorted complex Schur form a = Z T Z^H, with the k selected eigenvalues
-    leading, plus a Sylvester solve T11 X - X T22 = -T12, so it is correct for
-    defective (non-diagonalizable) matrices.  select maps an eigenvalue to
-    bool.  Returns (projector, small, big, big_eigs):
-
-    * projector: the spectral projector onto the selected invariant subspace
-      along the complementary one;
-    * small = Z[:, :k]: orthonormal basis (columns) of the selected subspace;
-    * big: orthonormal basis of the complementary invariant subspace, from one
-      reduced QR of Z[:, :k] X + Z[:, k:], on which a acts as T22;
-    * big_eigs = diag(T22): the eigenvalues that select() rejects.
+    zgees sorts its unsorted form by this same ztrsen call, so the bits are
+    those of sla.schur(a, output="complex", sort=select).
     """
-    a = as_cmatrix(a)
-    n = a.shape[0]
-    if n == 0:
-        empty = np.zeros((0, 0), dtype=np.complex128)
-        return empty, empty, empty, np.zeros(0, dtype=np.complex128)
-    t, z, sdim = sla.schur(a, output="complex", sort=select)
-    k = int(sdim)
+    flags = np.array([bool(select(complex(w))) for w in np.diagonal(t)], dtype=np.int32)
+    k = int(flags.sum())
+    if 0 < k < t.shape[0]:
+        t, z, _, _, _, _, info = lapack.ztrsen(flags, t, z, job="N")
+        if info:
+            raise DegeneracyError("Schur reordering failed: eigenvalues too close to swap")
+    return t, z, k
+
+
+def spectral_projector(t: np.ndarray, z: np.ndarray, select):
+    """Spectral splitting of a = Z T Z^H, (t, z) its complex Schur form, at select().
+
+    The form is reordered so that the k eigenvalues select() picks lead, and
+    T11 X - X T22 = -T12 is solved (ztrsyl), so defective matrices are fine.
+    Returns (small, big, big_eigs): small = Z[:, :k] is an orthonormal basis
+    of the selected invariant subspace, big one of the complementary one (a
+    reduced QR of Z[:, :k] X + Z[:, k:], on which a acts as T22) and big_eigs
+    = diag(T22).  The projector [small 0] [small big]^{-1} is not formed.
+    """
+    t, z, k = _reorder(t, z, select)
     big_eigs = np.diagonal(t)[k:].copy()
-    if k == 0:
-        return np.zeros((n, n), dtype=np.complex128), z[:, :0], z, big_eigs
-    if k == n:
-        return np.eye(n, dtype=np.complex128), z, z[:, n:], big_eigs
-    # block-diagonalize: t11 @ x - x @ t22 = -t12
-    x = sla.solve_sylvester(t[:k, :k], -t[k:, k:], -t[:k, k:])
-    big, _ = np.linalg.qr(z[:, :k] @ x + z[:, k:], mode="reduced")
-    p_schur = np.zeros((n, n), dtype=np.complex128)
-    p_schur[:k, :k] = np.eye(k)
-    p_schur[:k, k:] = -x
-    return z @ p_schur @ z.conj().T, z[:, :k], big, big_eigs
+    if k == 0 or k == t.shape[0]:
+        return z[:, :k], z[:, k:], big_eigs
+    x, scale, _ = lapack.ztrsyl(t[:k, :k], t[k:, k:], -t[:k, k:], isgn=-1)
+    big, _ = np.linalg.qr(z[:, :k] @ (x / scale) + z[:, k:], mode="reduced")
+    return z[:, :k], big, big_eigs
 
 
 def check_agmon(eigs: np.ndarray, theta: float, tol: float = AGMON_ANGLE_TOL) -> None:

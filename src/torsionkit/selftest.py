@@ -612,11 +612,13 @@ def _graded_det_multiplicative(seed):
 
 @_criterion("schur_vs_eigenprojection", rank=("==", 1), dev=("<", 1e-10))
 def _schur_vs_eigenprojection(seed):
-    """The Schur projector equals the eigenprojection on a diagonalisable matrix."""
+    """[S 0] [S B]^{-1}, S and B the Schur split's bases, is the eigenprojection."""
     rng = np.random.default_rng(seed)
     g, = random_isos(rng, [3], 0.3)
     a = g @ (np.diag([1.0, 9.0, 25.0]) + 0.0j) @ sla.inv(g)
-    p, small, _, _ = spectral_projector(a, lambda z: abs(z) <= 4.0)
+    small, big, _ = spectral_projector(*sla.schur(a, output="complex"),
+                                       lambda z: abs(z) <= 4.0)
+    p = small @ sla.inv(np.hstack([small, big]))[:small.shape[1]]
     w, v = sla.eig(a)
     vi = sla.inv(v)
     p_eig = sum(np.outer(v[:, i], vi[i, :]) for i in range(3) if abs(w[i]) <= 4.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 from hypothesis import example, given, settings, strategies as st
 
 from torsionkit.chain import GradedComplex, cohomology
@@ -429,25 +430,27 @@ def test_agmon_error_repeats_on_a_memoised_cut():
 
 
 def test_one_schur_form_per_block_per_cut(monkeypatch):
-    # at each new cut spectral_split factors every nonempty B^2 block once, and
-    # eta_xi_finite solves eigenvalue problems of B+ and B- only, not of B^2
+    # odd_signature factors every nonempty B^2 block once; a new cut reorders
+    # each form (at most one ztrsen per block) and eta_xi_finite solves
+    # eigenvalue problems of B+ and B- only, not of B^2
     x = random_chirality_complex(np.random.default_rng(4), 3, 4, acyclic=True)
+    calls = {"schur": [], "eigvals": [], "solve_sylvester": [], "ztrsen": []}
+    for owner, name in ((sla, "schur"), (sla, "eigvals"), (sla, "solve_sylvester"),
+                        (lapack, "ztrsen")):
+        monkeypatch.setattr(owner, name, lambda a, *args, _n=name, _f=getattr(owner, name),
+                            **kw: calls[_n].append(a) or _f(a, *args, **kw))
     s = odd_signature(x)
-    schur_args, eigvals_args = [], []
-    schur, eigvals = sla.schur, sla.eigvals
-    monkeypatch.setattr(sla, "schur",
-                        lambda a, *args, **kw: schur_args.append(a) or schur(a, *args, **kw))
-    monkeypatch.setattr(sla, "eigvals",
-                        lambda a, *args, **kw: eigvals_args.append(a) or eigvals(a, *args, **kw))
-    blocks = [b for b in s.b2_blocks if b.size]
+    blocks = [t for t, _ in s.b2_schur if t.size]
+    assert len(calls["schur"]) == len(blocks) == x.m + 1
+    assert not calls["eigvals"]
+    calls["schur"].clear()
     for lam in admissible_lambdas(s, 2):  # at the third cut B- is empty: no eigvals
         split = spectral_split(s, lam)
-        assert len(schur_args) == len(blocks)
-        assert all(a is b for a, b in zip(schur_args, blocks))
-        schur_args.clear()
+        assert len(calls["ztrsen"]) <= len(blocks)
+        calls["ztrsen"].clear()
         eta_xi_finite(s, -0.9, lam)
         pm = pm_split(s, split)
-        assert not schur_args
-        assert [a.shape for a in eigvals_args] == [pm.b_plus.shape, pm.b_minus.shape]
-        assert eigvals_args[0] is pm.b_plus and eigvals_args[1] is pm.b_minus
-        eigvals_args.clear()
+        assert not calls["schur"] and not calls["solve_sylvester"] and not calls["ztrsen"]
+        assert [a.shape for a in calls["eigvals"]] == [pm.b_plus.shape, pm.b_minus.shape]
+        assert calls["eigvals"][0] is pm.b_plus and calls["eigvals"][1] is pm.b_minus
+        calls["eigvals"].clear()

@@ -362,22 +362,19 @@ def chirality_doc(x):
 
 
 def test_refined_command_takes_two_schur_forms_per_block_and_cut(tmp_path, monkeypatch):
+    # the name is historical: one Schur form per nonempty B^2 block serves
+    # all three cuts, and no Sylvester solve factors T11 or T22 again
     calls = []
-    schur = sla.schur
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return schur(*args, **kwargs)
-
-    monkeypatch.setattr(sla, "schur", counted)
+    for name in ("schur", "solve_sylvester"):
+        monkeypatch.setattr(sla, name, lambda *a, _n=name, _f=getattr(sla, name), **kw:
+                            calls.append(_n) or _f(*a, **kw))
     for m in (1, 3):
         x = random_chirality_complex(np.random.default_rng(1), m, 4)
         chi = write(tmp_path, f"chi{m}.json", chirality_doc(x))
         calls.clear()
         with redirect_stdout(io.StringIO()):
             assert main(["refined", chi]) == 0
-        # three cuts, m + 1 blocks of B^2
-        assert 0 < len(calls) <= 2 * (m + 1) * 3
+        assert calls == ["schur"] * sum(1 for d in x.complex.dims if d)
 
 
 def test_refined_command_repeats_byte_identically(tmp_path):

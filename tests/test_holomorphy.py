@@ -4,7 +4,8 @@ import scipy.linalg as sla
 
 from torsionkit.chain import GradedComplex
 from torsionkit.chirality import (ChiralityComplex, admissible_lambdas,
-                                  odd_signature, rho)
+                                  odd_signature, random_chirality_complex, rho,
+                                  spectral_split)
 from torsionkit.cw import sigma, tau_section
 from torsionkit.holomorphy import (ComplexFamily, RepresentationCurve, SectionModel,
                                    cr_order, cr_residual, doubled_cochain,
@@ -154,6 +155,20 @@ def test_projection_family_structure():
     for p in (p_plus, p_minus):
         assert sla.norm(p @ p - p) < 1e-9
     assert sla.norm(p_plus @ p_minus) < 1e-9
+
+
+def test_projection_family_at_every_cut_with_a_roundoff_image():
+    # at the third cut an image of D vanishes in exact arithmetic; without a
+    # floor its roundoff gave "spectral splitting does not fill the space"
+    x = random_chirality_complex(np.random.default_rng(4), 3, 4, acyclic=True)
+    s = odd_signature(x)
+    for lam in admissible_lambdas(s, 3):
+        small = sum(u.shape[1] for u in spectral_split(s, lam).u_small_blocks)
+        p_plus, p_minus = projection_family(x, lam)
+        for p in (p_plus, p_minus):
+            assert sla.norm(p @ p - p) < 1e-9
+        assert sla.norm(p_plus @ p_minus) < 1e-9 and sla.norm(p_minus @ p_plus) < 1e-9
+        assert round(np.trace(p_plus + p_minus).real) == s.space.total - small
 
 
 def test_projection_derivative_check_linear_family():

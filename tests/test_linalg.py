@@ -4,11 +4,18 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from torsionkit.linalg import (RANK_RTOL, AgmonError, StructuralError, _svd, as_cmatrix,
-                               check_agmon, col_space, complement_in_kernel, h_adjoint,
-                               log_branch, rank_svd, spectral_projector)
+from torsionkit.linalg import (RANK_RTOL, AgmonError, StructuralError, _reorder, _svd,
+                               as_cmatrix, check_agmon, col_space, complement_in_kernel,
+                               h_adjoint, log_branch, rank_svd, spectral_projector)
 
-from oracles import contour_projector
+from oracles import contour_projector, projector_from_bases
+
+
+def split(a, cut):
+    """spectral_projector at |z| <= cut from one Schur form of a, plus the projector."""
+    small, big, big_eigs = spectral_projector(*sla.schur(a, output="complex"),
+                                              lambda z: abs(z) <= cut)
+    return projector_from_bases(small, big), small, big, big_eigs
 
 
 def test_as_cmatrix_rejects_nan():
@@ -113,7 +120,7 @@ def test_h_adjoint_definition():
 
 def test_spectral_projector_diagonal():
     a = np.diag([1.0, 9.0]).astype(complex)
-    p, u, ub, eb = spectral_projector(a, lambda z: abs(z) <= 4.0)
+    p, u, ub, eb = split(a, 4.0)
     assert sla.norm(p - np.diag([1.0, 0.0])) < 1e-12
     assert u.shape == (2, 1) and abs(abs(u[0, 0]) - 1.0) < 1e-12
     assert ub.shape == (2, 1) and abs(abs(ub[1, 0]) - 1.0) < 1e-12
@@ -122,22 +129,23 @@ def test_spectral_projector_diagonal():
 
 def test_spectral_projector_full_and_empty():
     a = np.diag([1.0, 2.0]).astype(complex)
-    p_all, u_all, ub_all, eb_all = spectral_projector(a, lambda z: abs(z) <= 10.0)
+    p_all, u_all, ub_all, eb_all = split(a, 10.0)
     assert sla.norm(p_all - np.eye(2)) < 1e-12
     assert sla.norm(u_all.conj().T @ u_all - np.eye(2)) < 1e-12
     assert ub_all.shape == (2, 0) and eb_all.shape == (0,)
-    p_none, u_none, ub_none, eb_none = spectral_projector(a, lambda z: abs(z) <= 0.5)
+    p_none, u_none, ub_none, eb_none = split(a, 0.5)
     assert sla.norm(p_none) < 1e-12 and u_none.shape == (2, 0)
     assert sla.norm(ub_none.conj().T @ ub_none - np.eye(2)) < 1e-12
     assert sla.norm(np.sort_complex(eb_none) - [1.0, 2.0]) < 1e-12
-    p_0, u_0, ub_0, eb_0 = spectral_projector(np.zeros((0, 0)), lambda z: True)
-    assert p_0.shape == u_0.shape == ub_0.shape == (0, 0) and eb_0.shape == (0,)
+    empty = np.zeros((0, 0), dtype=complex)
+    u_0, ub_0, eb_0 = spectral_projector(empty, empty, lambda z: True)
+    assert u_0.shape == ub_0.shape == (0, 0) and eb_0.shape == (0,)
 
 
 def test_spectral_projector_jordan_block_against_contour():
     # defective matrix: eigenvalue 2 Jordan block; cut at 1 selects nothing
     a = np.array([[2.0, 1.0], [0.0, 2.0]], dtype=complex)
-    p, u, _, _ = spectral_projector(a, lambda z: abs(z) <= 1.0)
+    p, u, _, _ = split(a, 1.0)
     assert u.shape[1] == 0 and sla.norm(p) < 1e-12
     # and the contour oracle agrees: radius-1 circle encloses no spectrum
     pc = contour_projector(a, 1.0)
@@ -149,7 +157,7 @@ def test_spectral_projector_nonnormal_against_contour():
     d = np.diag([0.5, 0.7, 3.0, 4.0]).astype(complex)
     g = np.eye(4) + 0.4 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     a = g @ d @ sla.inv(g)
-    p, u, ub, _ = spectral_projector(a, lambda z: abs(z) <= 1.5)
+    p, u, ub, _ = split(a, 1.5)
     pc = contour_projector(a, 1.5, n_nodes=4096)
     assert u.shape[1] == 2
     assert sla.norm(p - pc) < 1e-8
@@ -192,7 +200,7 @@ def _split_test_matrix(rng, n: int, jordan: bool):
 @given(n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1), jordan=st.booleans())
 def test_spectral_projector_big_basis_and_eigenvalues(n, seed, jordan):
     a, cut, eig_tol = _split_test_matrix(np.random.default_rng(seed), n, jordan)
-    _, small, big, big_eigs = spectral_projector(a, lambda z: abs(z) <= cut)
+    _, small, big, big_eigs = split(a, cut)
     k = n - big.shape[1]
     assert small.shape == (n, k) and big_eigs.shape == (n - k,)
     # orthonormal, invariant, and complementary to the small basis
@@ -206,6 +214,20 @@ def test_spectral_projector_big_basis_and_eigenvalues(n, seed, jordan):
     assert ref.shape == big_eigs.shape
     rows, cols = linear_sum_assignment(np.abs(big_eigs[:, None] - ref[None, :]))
     assert np.all(np.abs(big_eigs[rows] - ref[cols]) < eig_tol)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1), jordan=st.booleans(),
+       scale=st.floats(-3.0, 3.0))
+def test_reordered_schur_form_is_the_sorted_one_bitwise(n, seed, jordan, scale):
+    # zgees with sorting reorders its unsorted form by ztrsen: so does _reorder
+    a, cut, _ = _split_test_matrix(np.random.default_rng(seed), n, jordan)
+    a, cut = a * 10.0 ** scale, cut * 10.0 ** scale
+    select = lambda z: abs(z) <= cut  # noqa: E731
+    t, z, k = _reorder(*sla.schur(a, output="complex"), select)
+    t_ref, z_ref, k_ref = sla.schur(a, output="complex", sort=select)
+    assert k == k_ref
+    assert np.array_equal(t, t_ref) and np.array_equal(z, z_ref)
 
 
 def test_log_branch_window():
