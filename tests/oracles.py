@@ -111,8 +111,7 @@ def contour_projector(a: np.ndarray, radius: float, n_nodes: int = 2048) -> np.n
 
 def projector_from_bases(small: np.ndarray, big: np.ndarray) -> np.ndarray:
     """The projector onto span(small) along span(big): [small 0] [small big]^{-1}."""
-    basis = np.hstack([small, big])
-    return small @ np.linalg.inv(basis)[:small.shape[1]] if basis.size else basis
+    return small @ np.linalg.inv(np.hstack([small, big]))[:small.shape[1]]
 
 
 def circle_det_euler_product(theta: float, n_terms: int = 4000) -> float:

@@ -362,8 +362,8 @@ def chirality_doc(x):
 
 
 def test_refined_command_takes_two_schur_forms_per_block_and_cut(tmp_path, monkeypatch):
-    # the name is historical: one Schur form per nonempty B^2 block serves
-    # all three cuts, and no Sylvester solve factors T11 or T22 again
+    # one Schur form per nonempty B^2 block serves all three cuts (the test
+    # keeps its older name), and no Sylvester solve factors T11 or T22 again
     calls = []
     for name in ("schur", "solve_sylvester"):
         monkeypatch.setattr(sla, name, lambda *a, _n=name, _f=getattr(sla, name), **kw:
