@@ -26,16 +26,20 @@ Each GradedComplex factors its differentials once.  Its differentials are
 private read-only copies, and a memo that lives and dies with the complex
 holds the composition defect and one full SVD d_j = U S V^H per degree.
 Everything else is a slice of that SVD: for r = rank d_j, ker d_j is
-V[:, r:], im d_j is U[:, :r], the row space is V[:, :r], and the spectral
-scale is the largest s[0].  complex_scale, verify_complex, cohomology,
-canonical_iso, torsion_acyclic and the long exact sequence read that memo;
-none of them calls LAPACK on a differential itself.  A rank is still cut per
-call, from the memoised singular values with the caller's rtol and floor, so
-the memo does not depend on the tolerance.  Slicing is safe: a slice spans
-the same subspace as a thin SVD's vectors and differs from them only by
-rounding, torsion does not depend on the complement chosen, and since every
-reader cuts its ranks from the same singular values, the ranks behind
-cohomology and canonical_iso agree by construction.
+V[:, r:], im d_j is U[:, :r] and the row space is V[:, :r].
+complex_scale, verify_complex, cohomology, canonical_iso, torsion_acyclic and
+the long exact sequence read that memo; none of them calls LAPACK on a
+differential itself.  Slicing is safe: a slice spans the same subspace as a
+thin SVD's vectors and differs from them only by rounding, and torsion does
+not depend on the complement chosen.
+
+Every complex has one reference scale, complex_scale: its largest singular
+value, or its parent's if it was restricted or sliced from another
+(GradedComplex._derive; a submatrix of d, or U^H d V with U, V orthonormal,
+has 2-norm at most ||d||).  Every rank is cut at RANK_RTOL times the larger
+of the matrix's largest singular value and that scale, and the dd check reads
+the inherited one, so the ranks behind cohomology, canonical_iso and the
+class coordinates agree by construction.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from .linalg import (
-    RANK_RTOL,
     DegeneracyError,
     StructuralError,
     _factor,
@@ -108,26 +111,41 @@ class GradedComplex:
         return self._memo[key]
 
     def composition_defect(self) -> float:
-        """max_j ||d_{j+1} d_j|| relative to 1 + ||d_{j+1}|| ||d_j||, computed once."""
+        """max_j ||d_{j+1} d_j|| / (1 + max(||d_{j+1}|| ||d_j||, S^2)), computed once; S
+        is the scale inherited from a parent (_derive), 0 for a fresh complex."""
         def compute():
-            worst = 0.0
-            for j in range(len(self.differentials) - 1):
-                a, b = self.differentials[j + 1], self.differentials[j]
-                num = sla.norm(a @ b) if a.size and b.size else 0.0
-                den = 1.0 + sla.norm(a) * sla.norm(b) if a.size and b.size else 1.0
-                worst = max(worst, num / den)
+            sq, worst = self._memo.get("derived_scale", 0.0) ** 2, 0.0
+            for a, b in zip(self.differentials[1:], self.differentials):
+                if a.size and b.size:
+                    den = 1.0 + max(sla.norm(a) * sla.norm(b), sq)
+                    worst = max(worst, sla.norm(a @ b) / den)
             return worst
         return self._cached("defect", compute)
 
-    def _svd(self, j: int, rtol: float, floor: float):
-        """linalg._svd of d_j; the full SVD is memoised per degree, the rank is not."""
+    def _factored(self, j: int):
+        """The full SVD (u, s, vh) of d_j, memoised per degree and read-only."""
         def compute():
             out = _factor(self.d(j))
             for a in out:
                 a.flags.writeable = False
             return out
-        u, s, vh = self._cached(("svd", j), compute)
-        return u, vh, _rank(s, rtol, floor)
+        return self._cached(("svd", j), compute)
+
+    def _svd(self, j: int):
+        """(u, vh, RankResult) of d_j from its memoised SVD, cut at this complex's scale."""
+        u, s, vh = self._factored(j)
+        return u, vh, _rank(s, complex_scale(self))
+
+    def _image(self, a: np.ndarray) -> np.ndarray:
+        """Orthonormal basis of im a, a map made from this complex's data, cut at its scale."""
+        u, s, _ = _factor(a)
+        return u[:, :_rank(s, complex_scale(self)).rank]
+
+    def _derive(self, dims, differentials) -> "GradedComplex":
+        """A complex restricted or sliced from this one: it keeps this complex's scale."""
+        out = GradedComplex(dims, differentials)
+        out._memo["derived_scale"] = complex_scale(self)
+        return out
 
     def direct_sum(self, other: "GradedComplex") -> "GradedComplex":
         n = max(len(self.dims), len(other.dims))
@@ -207,30 +225,35 @@ class Cohomology:
 
 
 def complex_scale(c: GradedComplex) -> float:
-    """Largest singular value over all differentials (spectral scale of the complex).
-
-    Read from the memoised full SVDs: the largest of their s[0].
-    """
-    s = [c._svd(j, RANK_RTOL, 0.0)[2].singular_values for j in range(len(c.differentials))]
+    """The reference scale of c: its parent's when c was derived (GradedComplex._derive),
+    else the largest singular value over its differentials, the largest memoised s[0]."""
+    if "derived_scale" in c._memo:
+        return c._memo["derived_scale"]
+    s = [c._factored(j)[1] for j in range(len(c.differentials))]
     return float(max((v[0] for v in s if v.size), default=0.0))
 
 
-def cohomology(c: GradedComplex, rtol: float = RANK_RTOL, tag: str = "auto") -> Cohomology:
+def _require_complex(c: GradedComplex) -> None:
+    """Raise StructuralError unless verify_complex(c), naming defect, threshold and scale."""
+    if not verify_complex(c):
+        raise StructuralError(
+            f"not a complex: composition defect {c.composition_defect():.1e} "
+            f"> {TOL_COMPLEX:.0e} (scale {complex_scale(c):.1e})")
+
+
+def cohomology(c: GradedComplex, tag: str = "auto") -> Cohomology:
     """dim H^j and explicit representatives spanning a complement of im d_{j-1} in ker d_j.
 
-    Rank decisions use the spectral scale of the whole complex as an absolute
-    floor so that numerically-zero differentials do not contribute rank.  Per
-    degree, ker d_j and im d_{j-1} are slices of the memoised full SVDs of d_j
-    and d_{j-1}, with the ranks cut from their singular values; each SVD is
-    computed on first use only, and canonical_iso and torsion_acyclic reuse it.
+    Per degree, ker d_j and im d_{j-1} are slices of the memoised full SVDs of
+    d_j and d_{j-1}, their ranks cut at the complex's scale so that
+    numerically-zero differentials do not contribute rank; each SVD is computed
+    on first use only, and canonical_iso and torsion_acyclic reuse it.
     """
-    if not verify_complex(c):
-        raise StructuralError(f"not a complex: composition defect {c.composition_defect():.3e}")
-    floor = complex_scale(c)
+    _require_complex(c)
     dims, reps, warns = [], [], []
     for j in range(len(c.dims)):
-        _, vh, rk_out = c._svd(j, rtol, floor)
-        u, _, rk_in = c._svd(j - 1, rtol, floor)
+        _, vh, rk_out = c._svd(j)
+        u, _, rk_in = c._svd(j - 1)
         if rk_out.ill_conditioned or rk_in.ill_conditioned:
             warns.append(f"ill-conditioned rank decision at degree {j}")
         hdim = c.dims[j] - rk_out.rank - rk_in.rank
@@ -238,7 +261,7 @@ def cohomology(c: GradedComplex, rtol: float = RANK_RTOL, tag: str = "auto") -> 
             raise DegeneracyError(f"negative cohomology dimension at degree {j}")
         ker = vh[rk_out.rank:, :].conj().T
         img = u[:, :rk_in.rank]
-        comp, ill = complement_in_kernel(ker, img, rtol)
+        comp, ill = complement_in_kernel(ker, img)
         if ill:
             warns.append(f"ill-conditioned complement at degree {j}")
         if comp.shape[1] != hdim:
@@ -283,8 +306,7 @@ def _assemble(c: GradedComplex, h: list[np.ndarray], v: list[np.ndarray],
     return coord
 
 
-def torsion_acyclic(c: GradedComplex, complements="auto",
-                    rtol: float = RANK_RTOL) -> DetLineElement:
+def torsion_acyclic(c: GradedComplex, complements="auto") -> DetLineElement:
     """Torsion of an acyclic complex: the image of the standard-basis element of
     Det(C^*) under the canonical identification with Det(H^*) = C.
 
@@ -292,11 +314,11 @@ def torsion_acyclic(c: GradedComplex, complements="auto",
     the complement choice V_j.  "auto" picks V_j = the row space of d_j (the
     orthogonal complement of ker d_j); the assembly is canonical_iso's.
     """
-    coh = cohomology(c, rtol)
+    coh = cohomology(c)
     if any(coh.dims):
         raise NotAcyclicError(f"complex is not acyclic: dim H = {coh.dims}")
     if complements == "auto":
-        v, _ = _row_spaces(c, rtol)
+        v, _ = _row_spaces(c)
     elif len(complements) != len(c.dims):
         raise StructuralError("need one complement block per degree")
     else:
@@ -306,20 +328,18 @@ def torsion_acyclic(c: GradedComplex, complements="auto",
     return DetLineElement(coord, "scalar", tuple((j, 0) for j in range(len(c.dims))))
 
 
-def _row_spaces(c: GradedComplex, rtol: float) -> tuple[list[np.ndarray], list[int]]:
+def _row_spaces(c: GradedComplex) -> tuple[list[np.ndarray], list[int]]:
     """Per degree, the row space of d_j (orthonormal columns) and rank d_j."""
-    floor = complex_scale(c)
     v, ranks = [], []
     for j in range(len(c.dims)):
-        _, vh, rk = c._svd(j, rtol, floor)
+        _, vh, rk = c._svd(j)
         v.append(vh[:rk.rank, :].conj().T)
         ranks.append(rk.rank)
     return v, ranks
 
 
 def canonical_iso(c: GradedComplex, coh: Cohomology | None = None,
-                  coordinate: complex = 1.0,
-                  rtol: float = RANK_RTOL) -> DetLineElement:
+                  coordinate: complex = 1.0) -> DetLineElement:
     """Push coordinate * (standard-basis element of Det C^*) to Det(H^*).
 
     Splitting construction: C^j = d V_{j-1} (+) H_j (+) V_j with H_j the given
@@ -330,11 +350,10 @@ def canonical_iso(c: GradedComplex, coh: Cohomology | None = None,
     complex's memo, so after cohomology(c) this decomposes nothing.  On
     acyclic input this equals torsion_acyclic, whose assembly it shares.
     """
-    if not verify_complex(c):
-        raise StructuralError(f"not a complex: composition defect {c.composition_defect():.3e}")
-    v, ranks = _row_spaces(c, rtol)
+    _require_complex(c)
+    v, ranks = _row_spaces(c)
     if coh is None:
-        coh = cohomology(c, rtol)
+        coh = cohomology(c)
     hdims = tuple(k - r - (ranks[j - 1] if j else 0)
                   for j, (k, r) in enumerate(zip(c.dims, ranks)))
     if min(hdims, default=0) < 0:
@@ -421,8 +440,7 @@ def fusion(a: DetLineElement, c: DetLineElement,
     return DetLineElement(coord, f"fused[{a.basis_tag};{c.basis_tag}]", grading)
 
 
-def cone(f: list[np.ndarray], src: GradedComplex, tgt: GradedComplex,
-         tol: float = TOL_COMPLEX) -> GradedComplex:
+def cone(f: list[np.ndarray], src: GradedComplex, tgt: GradedComplex) -> GradedComplex:
     """Mapping cone of a chain map f: src -> tgt.
 
     Cone^j = src^j (+) tgt^{j-1} with differential blocks
@@ -435,11 +453,9 @@ def cone(f: list[np.ndarray], src: GradedComplex, tgt: GradedComplex,
     f = [as_cmatrix(m, rows=(tgt.dims[j] if j < nt else 0), cols=src.dims[j])
          for j, m in enumerate(f)]
     for j in range(ns - 1):
-        fd = f[j + 1] @ src.d(j) if j + 1 < ns else np.zeros((0, src.dims[j]), complex)
-        df = tgt.d(j) @ f[j]
-        r = fd - df
+        r = f[j + 1] @ src.d(j) - tgt.d(j) @ f[j]
         scale = 1.0 + max(sla.norm(f[j]), 1.0) * max(sla.norm(src.d(j)), sla.norm(tgt.d(j)), 1.0)
-        if r.size and sla.norm(r) / scale > tol:
+        if r.size and sla.norm(r) / scale > TOL_COMPLEX:
             raise StructuralError(f"f is not a chain map at degree {j}")
     n = max(ns, nt + 1)
     dims = tuple((src.dims[j] if j < ns else 0) + (tgt.dims[j - 1] if 0 <= j - 1 < nt else 0)
@@ -452,31 +468,28 @@ def cone(f: list[np.ndarray], src: GradedComplex, tgt: GradedComplex,
         if ms and ls:
             blk[:ms, :ls] = src.d(j)
         if mt and ls:
-            blk[ms:, :ls] = f[j] if j < ns else 0.0
+            blk[ms:, :ls] = f[j]
         if mt and lt:
             blk[ms:, ls:] = -tgt.d(j - 1)
         diffs.append(blk)
     out = GradedComplex(dims, diffs)
-    if not verify_complex(out, tol):
+    if not verify_complex(out):
         raise StructuralError("cone differential does not square to zero")
     return out
 
 
 def _class_coordinates(c: GradedComplex, coh: Cohomology, j: int,
-                       vectors: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Coordinates of cocycles (columns) in the degree-j cohomology basis."""
-    k = c.dims[j]
+                       vectors: np.ndarray) -> np.ndarray:
+    """Coordinates of cocycles (columns) in the degree-j cohomology basis; im d_{j-1}
+    is cut at the floor cohomology uses."""
     if coh.dims[j] == 0 or vectors.shape[1] == 0:
         return np.zeros((coh.dims[j], vectors.shape[1]), dtype=np.complex128)
-    if j > 0:
-        u, _, rk = c._svd(j - 1, RANK_RTOL, 0.0)
-        img = u[:, :rk.rank]
-    else:
-        img = np.zeros((k, 0), complex)
+    u, _, rk = c._svd(j - 1)
+    img = u[:, :rk.rank]
     basis = np.hstack([coh.representatives[j], img]) if img.shape[1] else coh.representatives[j]
     sol, _, _, _ = sla.lstsq(basis, vectors)
     recon = basis @ sol
-    if sla.norm(recon - vectors) > tol * max(1.0, sla.norm(vectors)):
+    if sla.norm(recon - vectors) > 1e-8 * max(1.0, sla.norm(vectors)):
         raise DegeneracyError(f"vector is not a cocycle class at degree {j}")
     return sol[: coh.dims[j], :]
 

@@ -39,12 +39,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from .chain import (
+    TOL_COMPLEX,
     Cohomology,
     DetLineElement,
     GradedComplex,
     canonical_iso,
     cohomology,
-    complex_scale,
     verify_complex,
     _class_coordinates,
 )
@@ -55,7 +55,6 @@ from .linalg import (
     StructuralError,
     as_cmatrix,
     check_agmon,
-    col_space,
     h_adjoint,
     log_branch,
     spectral_projector,
@@ -93,18 +92,18 @@ class ChiralityComplex:
     def r(self) -> int:
         return (self.m + 1) // 2
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         m = self.m
         dims = self.complex.dims
-        if not verify_complex(self.complex, tol):
+        if not verify_complex(self.complex):
             raise StructuralError("underlying differential does not square to zero")
         for k in range(m + 1):
             gg = self.gamma[m - k] @ self.gamma[k]
-            if gg.size and sla.norm(gg - np.eye(dims[k])) > tol * max(1.0, sla.norm(gg)):
+            if gg.size and sla.norm(gg - np.eye(dims[k])) > TOL_COMPLEX * max(1.0, sla.norm(gg)):
                 raise StructuralError(f"gamma is not an involution at degree {k}")
             hk = self.h[k]
             if hk.size:
-                if sla.norm(hk - hk.conj().T) > tol * max(1.0, sla.norm(hk)):
+                if sla.norm(hk - hk.conj().T) > TOL_COMPLEX * max(1.0, sla.norm(hk)):
                     raise StructuralError(f"h is not Hermitian at degree {k}")
                 if np.min(sla.eigvalsh(hk)) <= 0:
                     raise StructuralError(f"h is not positive definite at degree {k}")
@@ -220,8 +219,7 @@ def _read_only(arrays):
         a.flags.writeable = False
 
 
-def spectral_split(s: OddSignatureData, lam: float,
-                   gap_rtol: float = 1e-8) -> SpectralSplit:
+def spectral_split(s: OddSignatureData, lam: float) -> SpectralSplit:
     """Spectral splitting of B^2 at the cut |mu| <= lambda, per degree.
 
     Raises SpectralGapError when lambda is too close to |mu| for some
@@ -237,7 +235,7 @@ def spectral_split(s: OddSignatureData, lam: float,
     eigs = s.all_b2_eigs()
     scale = float(np.max(np.abs(eigs))) if eigs.size else 1.0
     thr = lam if lam > 0 else ZERO_EIG_RTOL * max(scale, 1.0)
-    gap = gap_rtol * max(scale, 1.0)
+    gap = 1e-8 * max(scale, 1.0)
     if eigs.size and lam > 0 and np.min(np.abs(np.abs(eigs) - lam)) < gap:
         raise SpectralGapError(
             f"lambda={lam} lies within {gap} of |spec(B^2)|; move the cut"
@@ -273,7 +271,7 @@ def small_complex(s: OddSignatureData, split: SpectralSplit) -> SmallComplex:
         gammas.append(_restrict(x.gamma[k], bases[k], bases[m - k],
                                 f"gamma at degree {k}"))
         hs.append(bases[k].conj().T @ x.h[k] @ bases[k])
-    xc = ChiralityComplex(GradedComplex(dims, diffs), gammas, hs)
+    xc = ChiralityComplex(x.complex._derive(dims, diffs), gammas, hs)
     return SmallComplex(xc, bases)
 
 
@@ -338,15 +336,10 @@ def _pm_split(s: OddSignatureData, split: SpectralSplit) -> PMSplit:
     m = x.m
     d_big, g_big = _big_restriction(s, split)
     dims_big = tuple(u.shape[1] for u in split.u_big_blocks)
-    # an absolute floor: a restriction of D that vanishes in exact arithmetic
-    # must not get full rank from its own roundoff
-    floor = complex_scale(x.complex)
     plus, minus = {}, {}
     for j in range(0, m + 1, 2):
-        ksrc = m - j - 1
-        plus[j] = col_space(g_big[ksrc + 1] @ d_big[ksrc], floor=floor) if ksrc < m else \
-            np.zeros((dims_big[j], 0), complex)
-        minus[j] = col_space(d_big[j - 1], floor=floor) if j >= 1 else \
+        plus[j] = x.complex._image(g_big[m - j] @ d_big[m - j - 1])
+        minus[j] = x.complex._image(d_big[j - 1]) if j >= 1 else \
             np.zeros((dims_big[j], 0), complex)
         if plus[j].shape[1] + minus[j].shape[1] != dims_big[j]:
             raise DegeneracyError(

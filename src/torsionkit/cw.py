@@ -15,7 +15,8 @@ build_cochain runs the relation check once per build of C(K, rho).  The
 relative, boundary and transmission complexes are slices of C(K, rho) at their
 cells' coordinates, each checked to square to zero; a slice holds the terms a
 cell loop over its cells sums, in the same order, so it equals that loop's
-result bit for bit.
+result bit for bit.  A slice keeps the scale of C(K, rho) for its rank cuts
+and its dd check (chain.GradedComplex._derive).
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ def cochain_slice(k: CWData, rho: Representation, full: GradedComplex,
     the other cells form a subcomplex L, C(L) when `cells` do."""
     slots = _slots(k, rho.rank, cells)
     diffs = [full.d(j)[np.ix_(slots[j + 1], slots[j])] for j in range(len(slots) - 1)]
-    return _checked(GradedComplex(tuple(len(s) for s in slots), diffs))
+    return _checked(full._derive(tuple(len(s) for s in slots), diffs))
 
 
 def build_relative(k: CWData, rho: Representation) -> GradedComplex:

@@ -23,11 +23,11 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .chain import GradedComplex, complex_scale, cone, torsion_acyclic, verify_complex
+from .chain import GradedComplex, cone, torsion_acyclic, verify_complex
 from .chirality import ChiralityComplex, graded_determinant, odd_signature, \
     spectral_split
 from .cw import CWData, Representation, build_cochain, cochain_slice
-from .linalg import DegeneracyError, StructuralError, as_cmatrix, col_space
+from .linalg import DegeneracyError, StructuralError, as_cmatrix
 
 CR_TOL = 1e-6
 CR_FLOOR = 1e-10
@@ -194,31 +194,14 @@ def projection_family(x: ChiralityComplex, lam: float) -> tuple[np.ndarray, np.n
     """
     s = odd_signature(x)
     split = spectral_split(s, lam)
-    m = x.m
-    total = s.space.total
-    # an image that vanishes in exact arithmetic must not get rank from roundoff
-    floor = complex_scale(x.complex)
-    cols_small, cols_d, cols_gd = [], [], []
-    for k in range(m + 1):
-        u_small = split.u_small_blocks[k]
-        if u_small.shape[1]:
-            cols_small.append(s.space.embed(k, u_small))
-        # im(D) part of the big subspace at degree k
-        if k >= 1:
-            img = x.complex.d(k - 1) @ split.u_big_blocks[k - 1]
-            b = col_space(img, floor=floor)
-            if b.shape[1]:
-                cols_d.append(s.space.embed(k, b))
-        # im(Gamma D) part at degree k (source degree m-k-1)
-        ks = m - k - 1
-        if 0 <= ks < m:
-            img = x.gamma[ks + 1] @ (x.complex.d(ks) @ split.u_big_blocks[ks])
-            b = col_space(img, floor=floor)
-            if b.shape[1]:
-                cols_gd.append(s.space.embed(k, b))
-    u_s = np.hstack(cols_small) if cols_small else np.zeros((total, 0), complex)
-    u_d = np.hstack(cols_d) if cols_d else np.zeros((total, 0), complex)
-    u_g = np.hstack(cols_gd) if cols_gd else np.zeros((total, 0), complex)
+    m, total, d, u_big = x.m, s.space.total, x.complex.d, split.u_big_blocks
+    # per degree k: the small subspace, the im(D) part of the big subspace and
+    # its im(Gamma D) part (source degree m-k-1)
+    u_s = np.hstack([s.space.embed(k, u) for k, u in enumerate(split.u_small_blocks)])
+    u_d = np.hstack([s.space.embed(k, x.complex._image(d(k - 1) @ u_big[k - 1]))
+                     for k in range(1, m + 1)])
+    u_g = np.hstack([s.space.embed(k, x.complex._image(x.gamma[m - k] @ (
+        d(m - k - 1) @ u_big[m - k - 1]))) for k in range(m)])
     basis = np.hstack([u_s, u_d, u_g])
     if basis.shape != (total, total):
         raise DegeneracyError(

@@ -3,8 +3,9 @@
 Everything here works on plain complex128 numpy arrays.  Rank decisions use
 singular-value thresholding with a relative tolerance and report a warning
 band.  A matrix is factored once, by one full SVD (``_factor``): its kernel,
-image and row space are slices of it, and each rank is cut from that
-decomposition's own singular values (``_svd``).  The spectral
+image and row space are slices of it, and its rank is cut at RANK_RTOL times
+the larger of its largest singular value and the scale of the complex it
+comes from (``_rank``, chain.complex_scale).  The spectral
 splitting of a (possibly non-normal) matrix comes from its complex Schur
 form, never from raw eigenvectors.  The form is made once; each cut reorders
 it (``_reorder``) and solves one triangular Sylvester equation, which gives
@@ -62,29 +63,24 @@ class RankResult:
     ill_conditioned: bool
 
 
-def _rank(s: np.ndarray, rtol: float, floor: float) -> RankResult:
-    """Threshold the singular values s (descending) at rtol * max(s[0], floor)."""
+def _rank(s: np.ndarray, floor: float) -> RankResult:
+    """Threshold the singular values s (descending) at RANK_RTOL * max(s[0], floor)."""
     smax = s[0] if len(s) else 0.0
     if max(smax, floor) == 0.0:
         return RankResult(0, 0.0, s, False)
-    thr = rtol * max(smax, floor)
+    thr = RANK_RTOL * max(smax, floor)
     rank = int(np.sum(s > thr))
     near = np.sum((s > thr / RANK_WARN_BAND) & (s <= thr * RANK_WARN_BAND))
     return RankResult(rank, thr, s, bool(near))
 
 
-def rank_svd(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0) -> RankResult:
-    """Rank by singular-value thresholding at rtol * max(sigma_max, floor).
-
-    floor injects an absolute scale (e.g. the largest singular value across a
-    whole complex) so that numerically-zero matrices are not promoted to full
-    rank by their own roundoff.  Marks the result ill-conditioned when any
-    singular value falls within RANK_WARN_BAND of the threshold.
-    """
+def rank_svd(a: np.ndarray) -> RankResult:
+    """Rank of a matrix that belongs to no complex: its singular values above RANK_RTOL *
+    sigma_max; ill-conditioned when one lies within RANK_WARN_BAND of that cut."""
     a = as_cmatrix(a)
     if a.size == 0:
         return RankResult(0, 0.0, np.zeros(0), False)
-    return _rank(sla.svdvals(a), rtol, floor)
+    return _rank(sla.svdvals(a), 0.0)
 
 
 def _factor(a: np.ndarray):
@@ -102,23 +98,7 @@ def _factor(a: np.ndarray):
     return sla.svd(a)
 
 
-def _svd(a: np.ndarray, rtol: float, floor: float):
-    """The full SVD of a: (u, vh, RankResult), the rank cut from its own singular values.
-
-    Every subspace basis and its rank are slices of this one decomposition.
-    """
-    u, s, vh = _factor(a)
-    return u, vh, _rank(s, rtol, floor)
-
-
-def col_space(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of a."""
-    u, _, rk = _svd(a, rtol, floor)
-    return u[:, :rk.rank]
-
-
-def complement_in_kernel(ker: np.ndarray, img: np.ndarray,
-                         rtol: float = RANK_RTOL) -> tuple[np.ndarray, bool]:
+def complement_in_kernel(ker: np.ndarray, img: np.ndarray) -> tuple[np.ndarray, bool]:
     """Orthonormal basis of the orthogonal complement of span(img) inside span(ker).
 
     Both inputs are orthonormal column bases; span(img) is assumed (close to)

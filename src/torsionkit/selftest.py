@@ -10,6 +10,8 @@ The seeded fixtures that the entries share with the tests follow the runner.
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 import operator
 import time
@@ -651,6 +653,29 @@ def _det_gr_eta_xi_identity(seed):
             ex = eta_xi_finite(s, theta, 0.0)
             worst = max(worst, abs(ex.det_gr_reconstruction() - dg) / abs(dg))
     return {"max_rel_dev": worst}, "20 complexes at theta = -0.9, -0.7, -1.9"
+
+
+@_criterion("rho_scale_homogeneity", budget_s=5.0,
+            exponent_dev=("<", 1e-9), phase_dev=("<", 1e-10))
+def _rho_scale_homogeneity(seed):
+    """rho(cD) / rho(D) = c^N with integral N for c from 1e-3 to 1e3, at every admissible
+    cut of cD, in the basis of H that D gives; 12 draws each at m = 1 and m = 3."""
+    exp_dev = phase_dev = 0.0
+    for i, m in itertools.product(range(12), (1, 3)):
+        x = random_chirality_complex(np.random.default_rng(seed + i), m, 4)
+        coh, s = cohomology(x.complex, tag="H(X)"), odd_signature(x)
+        ref = rho(x, admissible_lambdas(s, 1)[0], -0.9, coh_full=coh, s=s).coordinate
+        for c in (1e-3, 1e-2, 10.0, 100.0, 671.0, 1e3):
+            xc = ChiralityComplex(GradedComplex(x.complex.dims, [
+                c * d for d in x.complex.differentials]), x.gamma, x.h)
+            sc = odd_signature(xc)
+            for lam in admissible_lambdas(sc, 3):
+                q = rho(xc, lam, -0.9, coh_full=coh, s=sc).coordinate / ref
+                n = math.log(abs(q)) / math.log(c)
+                exp_dev = max(exp_dev, abs(n - round(n)))
+                phase_dev = max(phase_dev, abs(cmath.phase(q)))
+    return ({"exponent_dev": exp_dev, "phase_dev": phase_dev},
+            "24 complexes at 6 scales, 3 cuts each")
 
 
 @_criterion("lerch_identities", zeta0_dev=("<", 1e-12), dzeta0_dev=("<", 1e-10))

@@ -43,6 +43,30 @@ def test_cohomology_circle_values():
     assert coh5.dims == (0, 0)
 
 
+def test_dd_check_names_defect_threshold_and_scale():
+    bad = GradedComplex((1, 1, 1), [np.eye(1, dtype=complex), 2.0 * np.eye(1, dtype=complex)])
+    # ||d1 d0|| / (1 + ||d1|| ||d0||) = 2 / 3
+    msg = "not a complex: composition defect 6.7e-01 > 1e-10 (scale 2.0e+00)"
+    for check in (cohomology, canonical_iso):
+        with pytest.raises(StructuralError) as e:
+            check(bad)
+        assert str(e.value) == msg
+
+
+def test_derived_complex_keeps_its_parents_scale():
+    # d1 d0 = 1e-7 and d1 = 1e-7 are roundoff at the parent's scale 1e3: the
+    # derived complex passes the dd check and gives d1 rank 0, where the same
+    # matrices as a fresh complex fail the check and give d1 rank 1
+    parent = two_term(1e3)
+    diffs = [np.eye(1, dtype=complex), 1e-7 * np.eye(1, dtype=complex)]
+    fresh, derived = GradedComplex((1, 1, 1), diffs), parent._derive((1, 1, 1), diffs)
+    assert complex_scale(derived) == complex_scale(parent) == 1e3
+    assert complex_scale(fresh) == 1.0
+    assert not verify_complex(fresh) and verify_complex(derived)
+    assert fresh._svd(1)[2].rank == 1 and derived._svd(1)[2].rank == 0
+    assert cohomology(derived).dims == (0, 0, 1)
+
+
 def test_torsion_two_term_is_a():
     for a in (3.0, 2.0 - 1.5j, 0.25j):
         t = torsion_acyclic(two_term(a))
@@ -222,7 +246,7 @@ def test_memo_slices_match_a_thin_svd(rows, cols, rank_share, log_scale, seed):
     sv = 10.0 ** (log_scale + rng.uniform(-3.0, 0.0, r))
     d = (frame(rows) * sv) @ frame(cols).conj().T
     c = GradedComplex((cols, rows), [d])
-    u, vh, rk = c._svd(0, RANK_RTOL, complex_scale(c))
+    u, vh, rk = c._svd(0)
     ut, s_thin, vht = sla.svd(d, full_matrices=False)
     rt = int(np.sum(s_thin > RANK_RTOL * s_thin[0]))
     assert rk.rank == rt == r

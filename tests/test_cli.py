@@ -390,6 +390,17 @@ def test_refined_command_repeats_byte_identically(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_refined_command_on_a_rescaled_complex(tmp_path, capsys):
+    # D x 100: D restricted to the small part at a cut is roundoff of D's
+    # size, and the dd check judges it at D's scale, not at its own
+    x = random_chirality_complex(np.random.default_rng(4), 3, 4)
+    x = dataclasses.replace(x, complex=GradedComplex(
+        x.complex.dims, [100.0 * d for d in x.complex.differentials]))
+    chi = write(tmp_path, "chi.json", chirality_doc(x))
+    assert main(["refined", chi]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["max_relative_deviation"] < 1e-8
+
+
 def test_cli_import_leaves_scipy_interpolate_unloaded():
     code = "import sys, torsionkit.cli; print('scipy.interpolate' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=SRC)

@@ -4,9 +4,9 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from torsionkit.linalg import (RANK_RTOL, AgmonError, StructuralError, _reorder, _svd,
-                               as_cmatrix, check_agmon, col_space, complement_in_kernel,
-                               h_adjoint, log_branch, rank_svd, spectral_projector)
+from torsionkit.linalg import (AgmonError, StructuralError, _factor, _rank, _reorder,
+                               as_cmatrix, check_agmon, complement_in_kernel, h_adjoint,
+                               log_branch, rank_svd, spectral_projector)
 
 from oracles import contour_projector, projector_from_bases
 
@@ -33,11 +33,12 @@ def test_rank_warning_band():
 def test_spaces_consistency():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    _, vh, rk = _svd(a, RANK_RTOL, 0.0)
+    u, s, vh = _factor(a)
+    rk = _rank(s, 0.0)
     k = vh[rk.rank:, :].conj().T
     assert k.shape == (6, 2)
     assert sla.norm(a @ k) < 1e-12
-    c = col_space(a)
+    c = u[:, :rk.rank]
     assert c.shape == (4, 4)
 
 
@@ -49,26 +50,30 @@ def test_spaces_take_one_svd_each(monkeypatch):
     svd = sla.svd
     monkeypatch.setattr(sla, "svd", lambda m, **kw: calls.append(kw) or svd(m, **kw))
     monkeypatch.setattr(sla, "svdvals", None)
-    assert col_space(a).shape == (5, 2)
-    _, vh, rk = _svd(a, RANK_RTOL, 0.0)
+    u, s, vh = _factor(a)
+    rk = _rank(s, 0.0)
+    assert u[:, :rk.rank].shape == (5, 2)
     assert rk.rank == 2 and sla.norm(a @ vh[2:].conj().T) < 1e-12
-    assert calls == [{}, {}]  # one full (default) SVD each
+    assert calls == [{}]  # one full (default) SVD for both spaces
 
 
 def test_spaces_of_zero_matrix_skip_the_svd(monkeypatch):
     monkeypatch.setattr(sla, "svd", None)
     z = np.zeros((3, 2), complex)
-    u, vh, rk = _svd(z, RANK_RTOL, 0.0)
+    u, s, vh = _factor(z)
+    rk = _rank(s, 0.0)
     assert rk.rank == 0 and np.array_equal(vh, np.eye(2)) and np.array_equal(u, np.eye(3))
-    assert col_space(z).shape == (3, 0)
-    _, vh, rk = _svd(np.zeros((0, 3), complex), RANK_RTOL, 0.0)
+    assert u[:, :rk.rank].shape == (3, 0)
+    _, s, vh = _factor(np.zeros((0, 3), complex))
+    rk = _rank(s, 0.0)
     assert rk.rank == 0 and np.array_equal(vh, np.eye(3))
 
 
 def test_complement_in_kernel():
     d0 = np.array([[1.0, 0.0, 0.0]], dtype=complex).T  # C -> C^3, image = e0
     ker = np.eye(3, dtype=complex)  # pretend everything is a cocycle
-    img = col_space(d0)
+    u, s, _ = _factor(d0)
+    img = u[:, :_rank(s, 0.0).rank]
     comp, ill = complement_in_kernel(ker, img)
     assert comp.shape == (3, 2)
     assert sla.norm(img.conj().T @ comp) < 1e-12
