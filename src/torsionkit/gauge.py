@@ -4,8 +4,8 @@ A GaugeField stores matrix-valued connection components omega_0 (normal, dx)
 and omega_1 (tangential, dy) sampled on a uniform grid, optionally with one
 exact callable ``exact(x, y) -> (omega0, omega1)``.  The callable takes float
 arrays that broadcast to a common shape S and returns two (*S, n, n) stacks;
-without it, values between samples come from cubic splines built once per
-call.  solve_gauge_ode integrates d gamma / dx = -omega_0 gamma with classical
+without it, values between samples come from not-a-knot cubic splines.
+solve_gauge_ode integrates d gamma / dx = -omega_0 gamma with classical
 RK4 on all y-lines at once (x = 0 outward in both directions),
 gauge_transform applies gamma^{-1} omega gamma + gamma^{-1} d gamma with
 4th-order finite differences, and the residual functions quantify the
@@ -14,9 +14,18 @@ tangential component), flatness, and loop monodromies, whose factors are
 evaluated and exponentiated as one (F, n, n) stack and multiplied pairwise,
 later factor on the left, in ceil(log2 F) stacked products.
 
+Every fixed linear map of the samples is a matrix built once per grid and
+kept in a bounded cache: the spline weights at the RK4 stage abscissas
+(_stage_weights, per grid size and steps), at the monodromy midpoints
+(_midpoint_weights, per grid size and substeps) and the banded
+4th-order difference matrix (_deriv_matrix, per grid size and spacing).
+Each is applied as one real product on the real view of the samples
+(_apply).
+
 Every small-matrix product goes through ``_mm``: numpy's matmul makes one
 BLAS call per slice of a stack, so up to rank _MM_RANK_CUT the product is
-written as n whole-stack multiply-adds instead (larger ranks use matmul).
+written as n whole-stack multiply-adds instead (larger ranks use matmul);
+rank 2 computes each of its four entries on strided views.
 Every matrix exponential goes through ``_expm``, a scaling-and-squaring
 kernel that treats a whole (..., n, n) stack at once and squares each slice
 as often as its own scaling asks.  The path depends only on the rank.  At
@@ -27,21 +36,26 @@ whole-stack operations and no LAPACK call.  At ranks >= 3 it picks each
 slice's Pade degree from its 1-norm (Higham 2005) and makes one batched solve
 per degree.  Asked for the pair exp(a), exp(-a), it takes exp(-a) from the
 same c(q), s(q) at rank 2, and from the same Pade numerator and denominator
-at ranks >= 3, since r_m(-X) = r_m(X)^{-1}; pure_gauge_field's callable uses
-that for E2 and E2^{-1}.  Inverses and determinants of rank-2 stacks are
-written out too (_inv, _det).
+at ranks >= 3, since r_m(-X) = r_m(X)^{-1}.  pure_gauge_field's callable
+needs exp(-f A2) A1 exp(f A2); at rank 2 _conjugator writes it in closed
+form from the same c, s, with no exponential of a matrix, and at other ranks
+it multiplies that pair around A1.  Inverses and determinants of rank-2
+stacks are written out too (_inv, _det).
 
 solve_gauge_ode advances both directions from x = 0 together over a
-(2 n_y, n, n) stack: it lists each direction's stage abscissas first and
-evaluates the field on both lists in blocks of whole steps (about
-_STAGE_BLOCK points per call).  The ODE is linear, so every RK4 substep is
-one propagator matrix; all of them are built as one stack, folded pairwise
-per grid interval and turned into gamma by a prefix product over the
-intervals, in ceil(log2) rounds of stacked products.
+(2 n_y, n, n) stack: it evaluates the field at each direction's stage
+abscissas, by the exact callable in blocks of whole steps (about
+_STAGE_BLOCK points per call) or by one product with the stage weights.
+The ODE is linear, so every RK4 substep is one propagator matrix; all of
+them are built as one stack, folded pairwise per grid interval and turned
+into gamma by a prefix product over the intervals, in ceil(log2) rounds of
+stacked products.  gamma is rejected where a slice is nearly singular
+relative to the size of its rows (_hadamard_ratio below DET_FLOOR).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -50,18 +64,30 @@ import numpy as np
 
 from .linalg import StructuralError
 
+# floor on |det gamma| / prod ||row|| (_hadamard_ratio), 1 for orthogonal rows
 DET_FLOOR = 1e-8
 # field points per stage evaluation in solve_gauge_ode: bounds the temporaries
 # of the exact callable while keeping its calls few
 _STAGE_BLOCK = 1000
 # largest rank at which _mm's multiply-adds beat numpy's matmul (one BLAS call
 # per slice) on a complex (N, n, n) stack; matmul time over _mm time, 1 BLAS
-# thread, 2-vCPU x86-64, numpy 2.4 with OpenBLAS:
+# thread, 2-vCPU x86-64, numpy 2.4 with OpenBLAS (rank 2 entry by entry):
 #   n            2      3      4      5      6
-#   N = 66     2.5x   1.6x   0.9x   0.7x   0.5x
-#   N = 1089   4.6x   2.3x   1.0x   0.7x   0.4x
-#   N = 4257   3.1x   1.3x   0.5x   0.4x   0.3x
+#   N = 66     1.7x   1.4x   0.9x   0.6x   0.4x
+#   N = 1089   8.6x   2.1x   1.2x   0.5x   0.3x
+#   N = 4257  11.8x   1.2x   0.7x   0.4x   0.3x
 _MM_RANK_CUT = 3
+# spline and difference maps kept per module: one per (grid size, steps or
+# substeps), or per (grid size, spacing) for _deriv_matrix
+_MAPS_CACHED = 16
+# 4th-order first-derivative stencils times 12: central over offsets -2..2,
+# one-sided over the first five samples at edge offsets 0 and 1 (mirrored
+# with the opposite sign at the other end)
+_CENTRAL_WEIGHTS = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
+_EDGE_WEIGHTS = {
+    0: np.array([-25.0, 48.0, -36.0, 16.0, -3.0]),
+    1: np.array([-3.0, -10.0, 18.0, -6.0, 1.0]),
+}
 
 # Higham, "The scaling and squaring method for the matrix exponential
 # revisited", SIAM J. Matrix Anal. Appl. 26 (2005): the largest
@@ -109,15 +135,79 @@ _C_SERIES = tuple(1.0 / math.factorial(2 * k) for k in range(5))
 _S_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(5))
 
 
-def _cubic_spline(*args, **kwargs):
-    """scipy.interpolate.CubicSpline, imported on first call.
+def _spline_matrix(n: int, points: np.ndarray) -> np.ndarray:
+    """Weights W, points.shape + (n,), of the not-a-knot cubic spline through n samples.
 
-    scipy.interpolate pulls in scipy.optimize and scipy.special; importing it
-    here keeps them out of every process that never interpolates, such as
-    the CLI's other commands.
+    The samples sit at the indices 0, ..., n - 1 and points are given in
+    index units.  Such a spline is linear in its data, so W @ v is
+    scipy.interpolate.CubicSpline(arange(n), v)(points) up to rounding; on a
+    uniform grid it is also invariant under x -> x0 + h t, so W depends on
+    the grid only through n.  scipy.interpolate is imported here: it pulls in
+    scipy.optimize and scipy.special, which every process that never
+    interpolates, such as the CLI's other commands, does without.
     """
     from scipy.interpolate import CubicSpline
-    return CubicSpline(*args, **kwargs)
+    w = CubicSpline(np.arange(n, dtype=float), np.eye(n))(points)
+    w.flags.writeable = False  # kept in a cache
+    return w
+
+
+@functools.lru_cache(maxsize=_MAPS_CACHED)
+def _stage_weights(n: int, steps: int) -> np.ndarray:
+    """Spline weights at solve_gauge_ode's stage abscissas, (2 steps i0 + 1, 2, n).
+
+    Row j is the offset j / (2 steps) from the centre i0 = (n - 1) / 2,
+    column 0 outward to +eps and column 1 to -eps: start, midpoint and end
+    stages of every RK4 substep, a substep's end being the next one's start.
+    """
+    i0 = (n - 1) // 2
+    offsets = np.arange(2 * steps * i0 + 1) / (2 * steps)
+    return _spline_matrix(n, np.stack([i0 + offsets, i0 - offsets], axis=1))
+
+
+@functools.lru_cache(maxsize=_MAPS_CACHED)
+def _midpoint_weights(n: int, substeps: int) -> np.ndarray:
+    """Spline weights at monodromy's midpoints, (n - 1, substeps, n).
+
+    Row (i, k) is the point i + (k + 1/2) / substeps of the grid interval
+    [i, i + 1]; a segment walked from i + 1 to i takes the same rows in
+    reverse order.
+    """
+    points = np.arange(n - 1)[:, None] + (np.arange(substeps) + 0.5) / substeps
+    return _spline_matrix(n, points)
+
+
+@functools.lru_cache(maxsize=_MAPS_CACHED)
+def _deriv_matrix(n: int, h: float) -> np.ndarray:
+    """The banded (n, n) matrix of _deriv4 on n samples h apart."""
+    if n < 5:
+        raise StructuralError("need at least 5 samples for 4th-order differences")
+    d = np.zeros((n, n))
+    for i in range(2, n - 2):
+        d[i, i - 2:i + 3] = _CENTRAL_WEIGHTS
+    for off, w in _EDGE_WEIGHTS.items():
+        d[off, :5] = w
+        d[n - 1 - off, n - 5:] = -w[::-1]
+    d /= 12 * h
+    d.flags.writeable = False  # kept in a cache
+    return d
+
+
+def _apply(w: np.ndarray, values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Contract w's last axis with values' axis, the result's axis taking w's rows.
+
+    w is (m, k), or (*lead, m, k) with lead = values.shape[:axis] for one map
+    per leading index.  A complex values array is contracted through its real
+    view, so each product is a real GEMM.
+    """
+    values = np.ascontiguousarray(values)
+    tail = values.shape[axis + 1:]
+    flat = values.reshape(*values.shape[:axis + 1], math.prod(tail))
+    if np.iscomplexobj(flat):
+        out = (w @ flat.view(flat.real.dtype)).view(flat.dtype)
+    else:
+        out = w @ flat
+    return out.reshape(*out.shape[:-1], *tail)
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -126,11 +216,25 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     numpy's matmul makes one BLAS call per slice of a stack.  Up to rank
     _MM_RANK_CUT the product is instead n whole-stack multiply-adds,
     sum_j a[..., :, j] b[..., j, :], which agrees with matmul up to rounding;
-    larger ranks go to matmul.
+    larger ranks go to matmul.  Rank 2 on more than one slice writes each of
+    the four entries as a[..., i, 0] b[..., 0, k] + a[..., i, 1] b[..., 1, k]
+    on strided views: the broadcast form's operations in its order, without
+    its length-2 inner loops.  numpy multiplies complex numbers with a fused
+    multiply-add in its vector loops but not in a one-element loop, so a
+    single slice keeps the broadcast form; then the bits agree with it on
+    every broadcast layout tried.
     """
     n = a.shape[-1]
     if n > _MM_RANK_CUT:
         return a @ b
+    if n == 2 and max(a.size, b.size) > 4:  # more than one slice
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+        for i in range(2):
+            for k in range(2):
+                entry = out[..., i, k]
+                np.multiply(a[..., i, 0], b[..., 0, k], out=entry)
+                entry += a[..., i, 1] * b[..., 1, k]
+        return out
     out = a[..., :, 0, None] * b[..., None, 0, :]
     for j in range(1, n):
         out += a[..., :, j, None] * b[..., None, j, :]
@@ -343,9 +447,28 @@ class GaugeTransformation:
         fail = np.max(np.abs(self.gamma[i0] - np.eye(n)))
         if fail > 1e-12:
             raise StructuralError("gamma(0, y) must be the identity")
-        dets = _det(self.gamma)
-        if np.min(np.abs(dets)) < DET_FLOOR:
-            raise StructuralError("gamma degenerates on the grid")
+        ratio = _hadamard_ratio(self.gamma)
+        worst = np.unravel_index(np.argmin(np.where(np.isnan(ratio), -1.0, ratio)), ratio.shape)
+        if not ratio[worst] >= DET_FLOOR:  # nan fails too
+            raise StructuralError(
+                f"gamma degenerates on the grid: at (ix, iy) = {tuple(map(int, worst))}, "
+                f"|det gamma| / prod ||row|| = {ratio[worst]:.3e} < {DET_FLOOR:.0e}")
+
+
+def _hadamard_ratio(g: np.ndarray) -> np.ndarray:
+    """|det g| / prod_i ||row_i|| for every slice of an (..., n, n) stack.
+
+    By Hadamard's inequality it lies in [0, 1], and it does not change when a
+    row is scaled, so it judges degeneracy apart from the size of g.  The rows
+    are normalised before the determinant, so it neither overflows nor
+    underflows; a zero row gives nan.  Rank 2 goes entry by entry.
+    """
+    if g.shape[-1] == 2:
+        rows = np.hypot(np.abs(g[..., :, 0]), np.abs(g[..., :, 1]))
+    else:
+        rows = np.linalg.norm(g, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.abs(_det(g / rows[..., None]))
 
 
 def solve_gauge_ode(field: GaugeField, steps: int = 4) -> GaugeTransformation:
@@ -354,13 +477,15 @@ def solve_gauge_ode(field: GaugeField, steps: int = 4) -> GaugeTransformation:
     steps substeps of classical RK4 per grid interval; global error O(h^4).
     Both directions, x = 0 outward to +eps and to -eps, advance together as
     one (2 n_y, n, n) stack: the first n_y slices step by +h, the others by
-    -h, with h, h/2 and h/6 broadcast per slice.  Each direction lists its
-    stage abscissas with the sweep's own arithmetic (x += h, stages at
-    x + h/2 and x + h; the two midpoint stages share one, and a step's
-    endpoint is the next step's start).  The field is evaluated on both lists
-    at once, in blocks of whole steps of about _STAGE_BLOCK points per call:
-    by the exact callable on (abscissas, ys) when present, otherwise by one
-    cubic spline in x through the samples.
+    -h, with h, h/2 and h/6 broadcast per slice.  Each substep takes the
+    field at x, x + h/2 and x + h (the two midpoint stages share one, and a
+    step's endpoint is the next step's start).  With the exact callable,
+    each direction lists these abscissas with the sweep's own arithmetic
+    (x += h) and the callable evaluates both lists at once, in blocks of
+    whole steps of about _STAGE_BLOCK points per call, on (abscissas, ys).
+    Without it, one product of the cached stage weights (_stage_weights)
+    with the samples gives the cubic spline in x through them at every
+    stage of both directions.
 
     The ODE is linear, so one RK4 substep is one matrix, g -> P g with
         K_2 = A_mid + (h/2) A_mid A_start,  K_3 = A_mid + (h/2) A_mid K_2,
@@ -377,31 +502,27 @@ def solve_gauge_ode(field: GaugeField, steps: int = 4) -> GaugeTransformation:
     n_x, n_y = field.xs.size, field.ys.size
     n = field.rank
     i0 = (n_x - 1) // 2
-    if field.exact is not None:
-        def a(x):
-            return -np.asarray(field.exact(x[..., None], field.ys)[0],
-                               dtype=np.complex128)
-    else:
-        spline0 = _cubic_spline(field.xs, field.omega0, axis=0)
-
-        def a(x):
-            return -spline0(x)
     n_steps = steps * i0
-    columns = []  # stage abscissas, one column per direction
-    for direction in (+1, -1):
-        x = field.xs[i0]
-        h = direction * field.dx / steps
-        column = [x]
-        for _ in range(n_steps):
-            column += [x + h / 2, x + h]
-            x += h
-        columns.append(column)
-    abscissas = np.array(columns).T  # (2 n_steps + 1, 2)
-    # abscissa rows per call, whole steps; the first call also takes the start
-    block = 2 * max(1, _STAGE_BLOCK // (4 * n_y))
-    bounds = [0, *range(1 + block, abscissas.shape[0], block), abscissas.shape[0]]
-    stages = np.concatenate([a(abscissas[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
-    stages = stages.reshape(-1, 2 * n_y, n, n)
+    if field.exact is not None:
+        columns = []  # stage abscissas, one column per direction
+        for direction in (+1, -1):
+            x = field.xs[i0]
+            h = direction * field.dx / steps
+            column = [x]
+            for _ in range(n_steps):
+                column += [x + h / 2, x + h]
+                x += h
+            columns.append(column)
+        abscissas = np.array(columns).T  # (2 n_steps + 1, 2)
+        # abscissa rows per call, whole steps; the first call also takes the start
+        block = 2 * max(1, _STAGE_BLOCK // (4 * n_y))
+        bounds = [0, *range(1 + block, abscissas.shape[0], block), abscissas.shape[0]]
+        stages = np.concatenate([np.asarray(field.exact(abscissas[lo:hi, :, None], field.ys)[0],
+                                            dtype=np.complex128)
+                                 for lo, hi in zip(bounds, bounds[1:])])
+    else:
+        stages = _apply(_stage_weights(n_x, steps).reshape(-1, n_x), field.omega0)
+    stages = -stages.reshape(-1, 2 * n_y, n, n)
     h = np.repeat([field.dx / steps, -field.dx / steps], n_y)[:, None, None]
     # one propagator per substep: k_i = K_i g with K_1 = A_start, so
     # g_next = (I + h/6 (K_1 + 2 K_2 + 2 K_3 + K_4)) g
@@ -420,25 +541,12 @@ def solve_gauge_ode(field: GaugeField, steps: int = 4) -> GaugeTransformation:
     return GaugeTransformation(field.xs, field.ys, gam)
 
 
-_EDGE_WEIGHTS = {
-    0: np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0,
-    1: np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0,
-}
-
-
 def _deriv4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """4th-order first derivative along axis (central inside, one-sided at edges)."""
-    v = np.moveaxis(values, axis, 0)
-    n = v.shape[0]
-    if n < 5:
-        raise StructuralError("need at least 5 samples for 4th-order differences")
-    out = np.empty_like(v)
-    out[2:-2] = (-v[4:] + 8 * v[3:-1] - 8 * v[1:-3] + v[:-4]) / (12 * h)
-    head, tail = v[:5], v[::-1][:5]
-    for off, w in _EDGE_WEIGHTS.items():
-        out[off] = np.tensordot(w, head, axes=(0, 0)) / h
-        out[n - 1 - off] = -np.tensordot(w, tail, axes=(0, 0)) / h
-    return np.moveaxis(out, 0, axis)
+    """4th-order first derivative along axis (central inside, one-sided at edges).
+
+    One product with the cached banded matrix _deriv_matrix(n, h).
+    """
+    return _apply(_deriv_matrix(values.shape[axis], float(h)), values, axis)
 
 
 def gauge_transform(field: GaugeField, gt: GaugeTransformation) -> GaugeField:
@@ -481,8 +589,11 @@ def monodromy(field: GaugeField, path, substeps: int = 16) -> np.ndarray:
     into substeps midpoint-rule factors.  Field values at all midpoints come
     from one call of the exact callable when present, else from cubic
     splines through the samples: along x at the grid row of a horizontal
-    segment, along y at the grid column of a vertical one.  All factors are
-    exponentiated as one stack and multiplied in path order by
+    segment, along y at the grid column of a vertical one.  Each segment
+    takes its substeps rows of the cached midpoint weights
+    (_midpoint_weights) and contracts them with its row or column of
+    samples, all segments of one direction in one batched product.  All
+    factors are exponentiated as one stack and multiplied in path order by
     _ordered_product: pairwise rounds of stacked products, later factor on
     the left, ceil(log2 F) rounds for F factors.
     """
@@ -509,18 +620,19 @@ def monodromy(field: GaugeField, path, substeps: int = 16) -> np.ndarray:
     if field.exact is not None:
         o0, o1 = (np.asarray(o, dtype=np.complex128) for o in field.exact(xm, ym))
     else:
-        # a horizontal segment lies on grid row iy0, a vertical one on grid
-        # column ix0; splines go only through the rows and columns used, which
-        # keeps their temporaries small
+        # a horizontal segment lies on grid row iy0 and a vertical one on grid
+        # column ix0; each takes its weight rows, the interval's rows in
+        # reverse when walked downward, and contracts them with that line
         hor, ver = np.flatnonzero(iy0 == iy1), np.flatnonzero(iy0 != iy1)
-        rows, row_of = np.unique(iy0[hor], return_inverse=True)
-        cols, col_of = np.unique(ix0[ver], return_inverse=True)
         o0, o1 = (np.empty(xm.shape + (n, n), dtype=np.complex128) for _ in range(2))
-        for om, vals in ((field.omega0, o0), (field.omega1, o1)):
-            along_x = _cubic_spline(field.xs, om[:, rows], axis=0)(xm[hor])  # (H, S, rows, n, n)
-            vals[hor] = along_x[np.arange(hor.size)[:, None], k, row_of[:, None]]
-            along_y = _cubic_spline(field.ys, om[cols], axis=1)(ym[ver])  # (cols, V, S, n, n)
-            vals[ver] = along_y[col_of[:, None], np.arange(ver.size)[:, None], k]
+        # (segments, start, end, the line each lies on, the axis of omega it indexes)
+        for seg, start, end, line, across in ((hor, ix0, ix1, iy0, 1), (ver, iy0, iy1, ix0, 0)):
+            w = _midpoint_weights(field.omega0.shape[1 - across], substeps)
+            w = w[np.minimum(start, end)[seg]]
+            down = end[seg] < start[seg]
+            w[down] = w[down, ::-1]
+            for om, vals in ((field.omega0, o0), (field.omega1, o1)):
+                vals[seg] = _apply(w, np.moveaxis(om, across, 0)[line[seg]], axis=1)
     factors = _expm(-(o0 * dx[..., None, None] + o1 * dy[..., None, None]))
     return _ordered_product(factors.reshape(-1, n, n))
 
@@ -570,6 +682,36 @@ def rectangle_path(field: GaugeField, ix0: int, iy0: int, ix1: int, iy1: int):
     return path
 
 
+def _conjugator(a1: np.ndarray, a2: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """f -> exp(-f A2) A1 exp(f A2) on a real array f of shape S, as (*S, n, n).
+
+    At rank 2, with mu = tr A2 / 2, N = A2 - mu I and q0 = -det N, N^2 = q0 I
+    gives exp(f N) = c I + s f N with c, s = _cosh_sinhc(f^2 q0).  The
+    factors e^{+-mu f} cancel, so
+        exp(-f A2) A1 exp(f A2) = c^2 A1 + c s f [A1, N] - (s f)^2 N A1 N:
+    three scalar fields times 2 x 2 matrices formed once, one _cosh_sinhc
+    call and no _expm.  Other ranks multiply the pair _expm(f A2,
+    negative=True) around A1.
+    """
+    n = a1.shape[-1]
+    if n != 2:
+        def conjugate(f):
+            e2, e2i = _expm(f[..., None, None] * a2, negative=True)
+            return _mm(_mm(e2i, a1), e2)
+        return conjugate
+    nil = a2 - (a2[0, 0] + a2[1, 1]) / 2 * np.eye(2)
+    q0 = -_det(nil)
+    # A1, [A1, N], N A1 N as the rows of one (3, 4) matrix
+    basis = np.stack([a1, a1 @ nil - nil @ a1, nil @ a1 @ nil]).reshape(3, 4)
+
+    def conjugate(f):
+        shape, f = f.shape, f.ravel()  # _cosh_sinhc indexes its argument, so no 0-d array
+        c, s = _cosh_sinhc(f * f * q0)
+        sf = s * f
+        return (np.stack([c * c, c * sf, -(sf * sf)], axis=-1) @ basis).reshape(shape + (2, 2))
+    return conjugate
+
+
 def pure_gauge_field(rng: np.random.Generator, n: int = 2, n_x: int = 65,
                      n_y: int = 65, eps: float = 0.5,
                      strength: float = 0.4) -> GaugeField:
@@ -579,9 +721,9 @@ def pure_gauge_field(rng: np.random.Generator, n: int = 2, n_x: int = 65,
     matrices; the derivative has the closed form
         omega = (df1) E2^{-1} A1 E2 + (df2) A2,   E2 = exp(f2 A2),
     so the samples and the exact callable are exact and the curvature
-    vanishes identically.  The callable evaluates whole (x, y) arrays with one
-    batched _expm call that returns exp(f2 A2) and exp(-f2 A2) from one Pade
-    evaluation; the samples are one call on the meshgrid.
+    vanishes identically.  The callable evaluates whole (x, y) arrays; at
+    rank 2, E2^{-1} A1 E2 is _conjugator's closed form, one _cosh_sinhc call
+    per callable call.  The samples are one call on the meshgrid.
     Coefficient ranges keep the 4th-order finite-difference floor of the
     65 x 65 default grid safely below 1e-7.
     """
@@ -589,6 +731,7 @@ def pure_gauge_field(rng: np.random.Generator, n: int = 2, n_x: int = 65,
     a2 = strength * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n
     c1 = rng.uniform(-0.6, 0.6, size=6)
     c2 = rng.uniform(-0.6, 0.6, size=6)
+    conjugate = _conjugator(a1, a2)
 
     def poly(c, x, y):
         return c[0] + c[1] * x + c[2] * y + c[3] * x * y + c[4] * x * x + c[5] * y * y
@@ -598,11 +741,9 @@ def pure_gauge_field(rng: np.random.Generator, n: int = 2, n_x: int = 65,
 
     def omega(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        f2v = poly(c2, x, y)[..., None, None]
-        e2, e2i = _expm(f2v * a2, negative=True)
+        conj_a1 = conjugate(poly(c2, x, y))
         d1x, d1y = (d[..., None, None] for d in dpoly(c1, x, y))
         d2x, d2y = (d[..., None, None] for d in dpoly(c2, x, y))
-        conj_a1 = _mm(_mm(e2i, a1), e2)
         return d1x * conj_a1 + d2x * a2, d1y * conj_a1 + d2y * a2
 
     xs = np.linspace(-eps, eps, n_x)

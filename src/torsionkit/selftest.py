@@ -182,34 +182,11 @@ def random_acyclic_complex(rng: np.random.Generator, max_len: int = 3,
                 return random_complex(rng, dims, ranks)
 
 
-def split_ses(rng: np.random.Generator, degs: int = 2) -> ShortExactSequenceData:
-    """0 -> A -> A (+) C -> C -> 0 for random A, C of length degs."""
-    dims_a = tuple(int(rng.integers(1, 3)) for _ in range(degs))
-    dims_c = tuple(int(rng.integers(1, 3)) for _ in range(degs))
-    da = [0.4 * (rng.standard_normal((dims_a[j + 1], dims_a[j]))
-                 + 1j * rng.standard_normal((dims_a[j + 1], dims_a[j])))
-          for j in range(degs - 1)]
-    dc = [0.4 * (rng.standard_normal((dims_c[j + 1], dims_c[j]))
-                 + 1j * rng.standard_normal((dims_c[j + 1], dims_c[j])))
-          for j in range(degs - 1)]
-    a = GradedComplex(dims_a, da)
-    c = GradedComplex(dims_c, dc)
-    return coordinate_ses(a, a.direct_sum(c), c)
-
-
 def coordinate_ses(a, b, c) -> ShortExactSequenceData:
     """0 -> A -> B -> C -> 0, A the first and C the last coordinates of B in each degree."""
     return ShortExactSequenceData(
         a, b, c, [np.eye(nb, na, dtype=complex) for na, nb in zip(a.dims, b.dims)],
         [np.eye(nc, nb, na, dtype=complex) for na, nb, nc in zip(a.dims, b.dims, c.dims)])
-
-
-def conjugated_ses(rng: np.random.Generator, ses) -> ShortExactSequenceData:
-    """ses with B, iota and pi moved by random_isos of B (scale 0.3): a non-split sequence."""
-    g = random_isos(rng, ses.b.dims, 0.3)
-    return ShortExactSequenceData(ses.a, conjugate(ses.b, g), ses.c,
-                                  [gj @ i for gj, i in zip(g, ses.iota)],
-                                  [p @ sla.inv(gj) for gj, p in zip(g, ses.pi)])
 
 
 def constant_field(a: np.ndarray, n_x: int = 201, n_y: int = 5,

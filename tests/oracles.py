@@ -3,10 +3,11 @@
 These deliberately avoid the library code paths: random complements with
 direct linear solves instead of SVD frames, Laplacian determinant products for
 the torsion modulus, explicit per-degree determinants for fusion, contour
-integration for spectral projectors, and truncated Euler products for the
-circle determinant.  cochain_by_cells and coordinate_maps assemble cellular
-complexes and their inclusion/projection maps cell by cell, as a reference
-for the slices the library cuts out of one C(K, rho).
+integration for spectral projectors, truncated Euler products for the
+circle determinant, and finite-difference stencils applied one row at a
+time.  cochain_by_cells and coordinate_maps assemble cellular complexes and
+their inclusion/projection maps cell by cell, as a reference for the slices
+the library cuts out of one C(K, rho).
 """
 
 from __future__ import annotations
@@ -173,6 +174,25 @@ def gauge_ode_per_line_oracle(omega0_on_line, xs, ys, steps: int) -> np.ndarray:
                     x += h
                 gam[idx, iy] = g
     return gam
+
+
+def deriv4_stencil_oracle(values: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """4th-order first derivative along axis, stencil by stencil.
+
+    Central differences (-v[i+2] + 8 v[i+1] - 8 v[i-1] + v[i-2]) / 12h inside,
+    5-point one-sided rows at the first two and last two samples.
+    """
+    edge = {0: np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0,
+            1: np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0}
+    v = np.moveaxis(values, axis, 0)
+    n = v.shape[0]
+    out = np.empty_like(v)
+    out[2:-2] = (-v[4:] + 8 * v[3:-1] - 8 * v[1:-3] + v[:-4]) / (12 * h)
+    head, tail = v[:5], v[::-1][:5]
+    for off, w in edge.items():
+        out[off] = np.tensordot(w, head, axes=(0, 0)) / h
+        out[n - 1 - off] = -np.tensordot(w, tail, axes=(0, 0)) / h
+    return np.moveaxis(out, 0, axis)
 
 
 def monodromy_per_factor_oracle(omega_at, xs, ys, path, substeps: int) -> np.ndarray:

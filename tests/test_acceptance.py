@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from torsionkit.chain import DetLineElement, cone, fusion, les_of_ses, torsion_acyclic
-from torsionkit.selftest import (CRITERIA, conjugated_ses, random_acyclic_complex,
-                                 run_criterion, split_ses)
+from torsionkit.selftest import CRITERIA, random_acyclic_complex, run_criterion
 
 from oracles import circle_det_euler_product, fusion_bruteforce, \
     milnor_torsion_bruteforce
+from sequences import conjugated_ses, split_ses
 
 # seeds other than 3 (the CLI selftest test's seed) that a criterion is measured at
 SEEDS = {"rho_cut_invariance": 2026, "holomorphy_certification": 7,

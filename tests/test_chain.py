@@ -8,11 +8,11 @@ from torsionkit.chain import (DetLineElement, GradedComplex,
                               canonical_iso, cohomology, complex_scale, cone, fusion,
                               les_of_ses, torsion_acyclic, verify_complex)
 from torsionkit.linalg import RANK_RTOL, StructuralError
-from torsionkit.selftest import (conjugate, conjugated_ses, coordinate_ses,
-                                 random_acyclic_complex, random_complex, random_isos,
-                                 split_ses)
+from torsionkit.selftest import (conjugate, coordinate_ses, random_acyclic_complex,
+                                 random_complex, random_isos)
 
 from oracles import milnor_torsion_bruteforce, torsion_modulus_via_laplacians
+from sequences import conjugated_ses, split_ses
 
 
 def two_term(a):

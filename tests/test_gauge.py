@@ -3,19 +3,20 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import assume, example, given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 from scipy.interpolate import CubicSpline
 
 from torsionkit import gauge
 from torsionkit.gauge import (GaugeField, GaugeTransformation, curvature_residual,
                               gauge_transform, monodromy, pure_gauge_field,
                               rectangle_path, solve_gauge_ode, temporal_residual,
-                              _deriv4, _expm, _mm, _ordered_product)
+                              _apply, _conjugator, _deriv4, _deriv_matrix, _expm,
+                              _midpoint_weights, _mm, _ordered_product, _stage_weights)
 from torsionkit.linalg import StructuralError
 from torsionkit.selftest import constant_field
 
-from oracles import (gauge_ode_commuting_oracle, gauge_ode_per_line_oracle,
-                     monodromy_per_factor_oracle)
+from oracles import (deriv4_stencil_oracle, gauge_ode_commuting_oracle,
+                     gauge_ode_per_line_oracle, monodromy_per_factor_oracle)
 
 
 def test_deriv4_accuracy_and_order():
@@ -231,22 +232,26 @@ def test_gauge_work_is_batched(monkeypatch):
     path = rectangle_path(samples, 16, 4, 24, 20)
     scipy_expms = _counted(monkeypatch, sla, "expm")
     expms = _counted(monkeypatch, gauge, "_expm")
+    cosh_sinhc = _counted(monkeypatch, gauge, "_cosh_sinhc")
     exact = _counted(monkeypatch, fld, "exact")
     solve_gauge_ode(fld, steps=4)
     assert 0 < len(exact) <= 12
-    assert len(expms) == len(exact)
+    # the rank-2 callable is closed form: one c(q), s(q) per call, no exponential
+    assert len(cosh_sinhc) == len(exact) and not expms
     exact.clear()
-    expms.clear()
+    cosh_sinhc.clear()
     monodromy(fld, path, substeps=12)
-    assert len(exact) == 1 and len(expms) == 2
-    splines = _counted(monkeypatch, gauge, "_cubic_spline")
-    solve_gauge_ode(samples, steps=4)
-    assert len(splines) <= 1
-    splines.clear()
+    assert len(exact) == 1 and len(expms) == 1 and len(cosh_sinhc) == 2
+    # one spline map per grid size and steps or substeps, built on first use
+    gauge._stage_weights.cache_clear()
+    gauge._midpoint_weights.cache_clear()
+    builds = _counted(monkeypatch, gauge, "_spline_matrix")
     expms.clear()
-    monodromy(samples, path, substeps=12)
-    assert len(splines) <= 4
-    assert len(expms) == 1
+    for _ in range(2):
+        solve_gauge_ode(samples, steps=4)
+        monodromy(samples, path, substeps=12)
+    assert len(builds) == 2  # the stage map and the midpoint map; n_x = n_y
+    assert len(expms) == 2
     assert not scipy_expms
 
 
@@ -429,7 +434,7 @@ def test_exact_callable_exponentiates_each_point_once(monkeypatch):
     slices = _counted(monkeypatch, gauge, "_cosh_sinhc")
     x, y = np.meshgrid(np.linspace(-0.5, 0.5, 21), np.linspace(0.0, 1.0, 13))
     fld.exact(x, y)
-    # the +f2 A2 and -f2 A2 sides share one c(q), s(q) per point
+    # one c(q), s(q) per point gives both exp(+-f2 A2) of the conjugation
     assert sum(q.size for q, in slices) == x.size
 
 
@@ -590,3 +595,137 @@ def test_rectangle_path_rejects_off_grid_corners():
         with pytest.raises(StructuralError, match="off the 17 x 9 grid"):
             rectangle_path(fld, *corners)
     assert rectangle_path(fld, 0, 0, 16, 8)[-1] == (0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes=mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3),
+       complex_=st.sampled_from([(False, False), (False, True), (True, False), (True, True)]),
+       data=st.data())
+def test_rank2_mm_is_bitwise_the_broadcast_formula(shapes, complex_, data):
+    def draw(batch, cplx):
+        elements = st.floats(allow_nan=False, allow_infinity=False)
+        x = data.draw(arrays(float, batch + (2, 2), elements=elements))
+        return x + 1j * data.draw(arrays(float, batch + (2, 2), elements=elements)) if cplx else x
+
+    a, b = (draw(shape, cplx) for shape, cplx in zip(shapes.input_shapes, complex_))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = a[..., :, 0, None] * b[..., None, 0, :]
+        want += a[..., :, 1, None] * b[..., None, 1, :]
+        got = _mm(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _mp_conjugate(a1, a2, f):
+    """exp(-f A2) A1 exp(f A2) at 50 significant digits, and both exponentials, rounded."""
+    def rounded(m):
+        return np.array([[complex(m[i, j]) for j in range(2)] for i in range(2)])
+
+    with mpmath.workdps(50):
+        m1, m2 = (mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in x])
+                  for x in (a1, a2))
+        e, ei = mpmath.expm(mpmath.mpf(f) * m2), mpmath.expm(-mpmath.mpf(f) * m2)
+        return rounded(ei * m1 * e), rounded(e), rounded(ei)
+
+
+def test_rank2_conjugator_matches_the_expm_product_and_50_digits():
+    # per point, against the 50-digit value: 1e-13 max(1, ||f A2||_1) times
+    # ||E^-1||_1 ||A1||_1 ||E||_1, E = exp(f A2); the product form of _expm
+    # meets the same bound, so the two forms agree within twice it
+    def norm1(m):
+        return np.abs(m).sum(axis=0).max()
+
+    for seed in range(3):
+        for strength in (0.4, 1.0, 2.0, 4.0):
+            rng = np.random.default_rng(seed)
+            # as pure_gauge_field draws them; |f2| <= 2.55 on its collar
+            a1, a2 = (strength * (rng.standard_normal((2, 2))
+                                  + 1j * rng.standard_normal((2, 2))) / 2 for _ in range(2))
+            nil = a2 - np.trace(a2) / 2 * np.eye(2)
+            switch = np.sqrt(gauge._Q_SERIES / abs(np.linalg.det(nil)))  # |f^2 q0| at the switch
+            f = np.concatenate([np.linspace(-3.0, 3.0, 13), [1e-9, -1e-3],
+                                switch * np.array([1 - 1e-9, 1 + 1e-9])])
+            got = _conjugator(a1, a2)(f)
+            e, ei = _expm(f[:, None, None] * a2, negative=True)
+            product = _mm(_mm(ei, a1), e)
+            for i, fi in enumerate(f):
+                want, e_mp, ei_mp = _mp_conjugate(a1, a2, fi)
+                bound = 1e-13 * max(1.0, norm1(fi * a2)) * norm1(ei_mp) * norm1(a1) * norm1(e_mp)
+                assert np.abs(got[i] - want).max() <= bound
+                assert np.abs(got[i] - product[i]).max() <= 2 * bound
+
+
+def test_conjugator_keeps_the_product_form_off_rank_2():
+    rng = np.random.default_rng(22)
+    a1, a2 = (0.4 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / 3
+              for _ in range(2))
+    f = np.linspace(-2.5, 2.5, 7).reshape(7, 1)
+    e, ei = _expm(f[..., None, None] * a2, negative=True)
+    assert np.array_equal(_conjugator(a1, a2)(f), _mm(_mm(ei, a1), e))
+
+
+def test_spline_maps_match_cubic_spline():
+    # bound fixed before the runs: 1e-14 max|v| at every point
+    rng = np.random.default_rng(20)
+    for n in (5, 9, 17, 33):
+        xs = np.linspace(-0.5, 0.5, n)
+        dx, i0 = xs[1] - xs[0], (n - 1) // 2
+        v = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        spline, bound = CubicSpline(xs, v, axis=0), 1e-14 * np.abs(v).max()
+        for steps in (1, 3, 4):
+            offsets = np.arange(2 * steps * i0 + 1) * (dx / (2 * steps))
+            want = spline(np.stack([xs[i0] + offsets, xs[i0] - offsets], axis=1))
+            assert np.abs(_apply(_stage_weights(n, steps), v) - want).max() <= bound
+        for substeps in (1, 3, 12):
+            want = spline(xs[:-1, None] + (np.arange(substeps) + 0.5) * (dx / substeps))
+            assert np.abs(_apply(_midpoint_weights(n, substeps), v) - want).max() <= bound
+
+
+def test_deriv4_matrix_matches_the_stencils():
+    # bound fixed before the runs: 2 gamma_8 (largest row sum of |weights| / 12)
+    # max|v| / h, the two sides each erring by at most gamma_8 times it
+    k = 8 * np.finfo(float).eps
+    rng = np.random.default_rng(21)
+    for n, h in ((5, 0.25), (6, 0.1), (17, 1 / 16), (33, 1 / 32), (65, 1 / 64)):
+        for shape, axis in (((n,), 0), ((n, 4, 2, 2), 0), ((3, n, 2, 2), 1)):
+            v = rng.standard_normal(shape)
+            if len(shape) > 1:
+                v = v + 1j * rng.standard_normal(shape)
+            bound = 2 * k / (1 - k) * (128 / 12) * np.abs(v).max() / h
+            got, want = _deriv4(v, h, axis), deriv4_stencil_oracle(v, h, axis)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.abs(got - want).max() <= bound
+    assert _deriv_matrix(17, 1 / 16) is _deriv_matrix(17, 1 / 16)
+    with pytest.raises(StructuralError, match="at least 5 samples"):
+        _deriv4(np.zeros(4), 0.1, 0)
+
+
+def test_scaled_identity_gamma_is_not_degenerate():
+    # omega0 = c I: gamma = e^{-c x} I is perfectly conditioned although
+    # |det gamma| falls to e^{-c} at x = 0.5.  RK4 advances it by the
+    # amplification R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 per substep,
+    # z = -c h with h = +-dx / steps
+    steps, n_x = 4, 17
+    i0 = (n_x - 1) // 2
+    for c in (20.0, 40.0):
+        fld = constant_field(c * np.eye(2, dtype=complex), n_x=n_x, n_y=9)
+        gam = solve_gauge_ode(fld, steps=steps).gamma
+        for ix in range(n_x):
+            z = -c * np.sign(ix - i0) * fld.dx / steps
+            want = (1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24) ** (steps * abs(ix - i0))
+            assert np.abs(gam[ix] - want * np.eye(2)).max() <= 1e-12 * want
+
+
+def test_degenerate_gamma_names_slice_ratio_and_floor():
+    xs, ys = np.linspace(-0.5, 0.5, 5), np.linspace(0.0, 1.0, 5)
+    gam = np.tile(np.eye(2, dtype=complex), (5, 5, 1, 1))
+    gam[4, 3] = 1e-200 * np.eye(2)  # tiny but orthogonal rows: not degenerate
+    GaugeTransformation(xs, ys, gam)
+    gam[3, 1] = [[1.0, 1.0], [1.0, 1.0 + 1e-10]]  # |det| / (|r0| |r1|) = 1e-10 / 2
+    with pytest.raises(StructuralError, match=r"gamma degenerates on the grid: at \(ix, iy\) = "
+                                              r"\(3, 1\), \|det gamma\| / prod \|\|row\|\| = "
+                                              r"5\.000e-11 < 1e-08"):
+        GaugeTransformation(xs, ys, gam)
+    gam[0, 4] = 0.0  # a zero row has no ratio: nan is reported first
+    with pytest.raises(StructuralError, match=r"at \(ix, iy\) = \(0, 4\), .* = nan < 1e-08"):
+        GaugeTransformation(xs, ys, gam)
