@@ -561,8 +561,7 @@ def eta_xi_finite(s: OddSignatureData, theta: float, lam: float = 0.0) -> EtaXi:
 
 
 def random_chirality_complex(rng: np.random.Generator, m: int,
-                             max_dim: int = 4, acyclic: bool | None = None,
-                             spread: float = 1.0) -> ChiralityComplex:
+                             max_dim: int = 4, acyclic: bool | None = None) -> ChiralityComplex:
     """Seeded random chirality complex with symmetric dimensions.
 
     acyclic=True forces trivial cohomology; None picks random consistent ranks.
@@ -580,11 +579,11 @@ def random_chirality_complex(rng: np.random.Generator, m: int,
         for j in range(m + 1):
             rk = dims[j] - prev
             if rk < 0 or (j < m and rk > dims[j + 1]):
-                return random_chirality_complex(rng, m, max_dim, acyclic, spread)
+                return random_chirality_complex(rng, m, max_dim, acyclic)
             ranks.append(rk)
             prev = rk
         if ranks[-1] != 0:
-            return random_chirality_complex(rng, m, max_dim, acyclic, spread)
+            return random_chirality_complex(rng, m, max_dim, acyclic)
     else:
         ranks = []
         prev = 0
@@ -597,7 +596,7 @@ def random_chirality_complex(rng: np.random.Generator, m: int,
     for j in range(m):
         d = np.zeros((dims[j + 1], dims[j]), dtype=np.complex128)
         for i in range(ranks[j]):
-            d[i, dims[j] - ranks[j] + i] = 1.0 + rng.uniform(0.2, spread)
+            d[i, dims[j] - ranks[j] + i] = 1.0 + rng.uniform(0.2, 1.0)
         diffs.append(d)
     g = [np.eye(dims[j], dtype=complex)
          + 0.35 * (rng.standard_normal((dims[j], dims[j]))

@@ -291,12 +291,12 @@ def relative_ses(k: CWData, rho: Representation) -> ShortExactSequenceData:
     return _sequence(k, rho, build_cochain(k, rho), k.interior, k.boundary_subcomplex)
 
 
-def check_sigma_relation(k: CWData, rho_list, tol: float = 1e-8):
+def check_sigma_relation(k: CWData, rho_list):
     """Evaluate nu(sigma' (x) sigma'') / sigma for every representation.
 
     nu is the fusion of the standard chain elements pushed through the
-    canonical isomorphism of C(K); the ratio must be +-1 and carry the same
-    sign for every representation.  Returns (sign, ratios).
+    canonical isomorphism of C(K); the ratio must be +-1 to 1e-8 and carry
+    the same sign for every representation.  Returns (sign, ratios).
     """
     sign = None
     ratios = []
@@ -311,11 +311,11 @@ def check_sigma_relation(k: CWData, rho_list, tol: float = 1e-8):
         sig = canonical_iso(full, coh)
         r = nu.ratio(sig)
         ratios.append(r)
-        if abs(abs(r) - 1.0) > tol:
+        if abs(abs(r) - 1.0) > 1e-8:
             raise StructuralError(f"sigma relation ratio {r} is not of unit size")
         s = 1 if abs(r - 1) < abs(r + 1) else -1
-        if abs(r - s) > tol:
-            raise StructuralError(f"sigma relation ratio {r} is not +-1 within {tol}")
+        if abs(r - s) > 1e-8:
+            raise StructuralError(f"sigma relation ratio {r} is not +-1 within 1e-08")
         if sign is None:
             sign = s
         elif sign != s:

@@ -22,24 +22,20 @@ kept in a bounded cache: the spline weights at the RK4 stage abscissas
 Each is applied as one real product on the real view of the samples
 (_apply).
 
-Every small-matrix product goes through ``_mm``: numpy's matmul makes one
-BLAS call per slice of a stack, so up to rank _MM_RANK_CUT the product is
-written as n whole-stack multiply-adds instead (larger ranks use matmul);
-rank 2 computes each of its four entries on strided views.
-Every matrix exponential goes through ``_expm``, a scaling-and-squaring
-kernel that treats a whole (..., n, n) stack at once and squares each slice
-as often as its own scaling asks.  The path depends only on the rank.  At
-rank 2 it is the Cayley-Hamilton closed form
+Each small-matrix kernel has two paths: one for rank 2, which every gauge
+pipeline runs, and one for every other rank.  ``_mm`` computes the four
+entries of a rank-2 product on strided views, where numpy's matmul would
+make one BLAS call per slice; other ranks use matmul.  ``_expm`` is a
+scaling-and-squaring kernel that treats a whole (..., n, n) stack at once,
+scales each slice by its own 2^-s and squares it s times.  At rank 2 it is
+the Cayley-Hamilton closed form
 e^mu (cosh sqrt(q) I + sinh sqrt(q) / sqrt(q) (X - mu I)), mu = tr X / 2,
-q = -det(X - mu I), after scaling slices beyond the 1-norm _THETA2: a few
-whole-stack operations and no LAPACK call.  At ranks >= 3 it picks each
-slice's Pade degree from its 1-norm (Higham 2005) and makes one batched solve
-per degree.  Asked for the pair exp(a), exp(-a), it takes exp(-a) from the
-same c(q), s(q) at rank 2, and from the same Pade numerator and denominator
-at ranks >= 3, since r_m(-X) = r_m(X)^{-1}.  pure_gauge_field's callable
-needs exp(-f A2) A1 exp(f A2); at rank 2 _conjugator writes it in closed
-form from the same c, s, with no exponential of a matrix, and at other ranks
-it multiplies that pair around A1.  Inverses and determinants of rank-2
+q = -det(X - mu I): a few whole-stack operations and no LAPACK call.  At
+other ranks it picks each slice's Pade degree from its 1-norm (Higham 2005)
+and makes one batched solve per degree.  pure_gauge_field's callable needs
+exp(-f A2) A1 exp(f A2); at rank 2 _conjugator writes it in closed form from
+the same c, s, with no exponential of a matrix, and at other ranks it
+multiplies _expm(-f A2) A1 _expm(f A2).  Inverses and determinants of rank-2
 stacks are written out too (_inv, _det).
 
 solve_gauge_ode advances both directions from x = 0 together over a
@@ -69,14 +65,6 @@ DET_FLOOR = 1e-8
 # field points per stage evaluation in solve_gauge_ode: bounds the temporaries
 # of the exact callable while keeping its calls few
 _STAGE_BLOCK = 1000
-# largest rank at which _mm's multiply-adds beat numpy's matmul (one BLAS call
-# per slice) on a complex (N, n, n) stack; matmul time over _mm time, 1 BLAS
-# thread, 2-vCPU x86-64, numpy 2.4 with OpenBLAS (rank 2 entry by entry):
-#   n            2      3      4      5      6
-#   N = 66     1.7x   1.4x   0.9x   0.6x   0.4x
-#   N = 1089   8.6x   2.1x   1.2x   0.5x   0.3x
-#   N = 4257  11.8x   1.2x   0.7x   0.4x   0.3x
-_MM_RANK_CUT = 3
 # spline and difference maps kept per module: one per (grid size, steps or
 # substeps), or per (grid size, spacing) for _deriv_matrix
 _MAPS_CACHED = 16
@@ -197,47 +185,33 @@ def _apply(w: np.ndarray, values: np.ndarray, axis: int = 0) -> np.ndarray:
     """Contract w's last axis with values' axis, the result's axis taking w's rows.
 
     w is (m, k), or (*lead, m, k) with lead = values.shape[:axis] for one map
-    per leading index.  A complex values array is contracted through its real
-    view, so each product is a real GEMM.
+    per leading index.  values is contracted through its real view (for a
+    real array, the array itself), so each product is a real GEMM.
     """
     values = np.ascontiguousarray(values)
     tail = values.shape[axis + 1:]
     flat = values.reshape(*values.shape[:axis + 1], math.prod(tail))
-    if np.iscomplexobj(flat):
-        out = (w @ flat.view(flat.real.dtype)).view(flat.dtype)
-    else:
-        out = w @ flat
+    out = (w @ flat.view(flat.real.dtype)).view(flat.dtype)
     return out.reshape(*out.shape[:-1], *tail)
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b on (broadcastable) stacks of small matrices.
 
-    numpy's matmul makes one BLAS call per slice of a stack.  Up to rank
-    _MM_RANK_CUT the product is instead n whole-stack multiply-adds,
-    sum_j a[..., :, j] b[..., j, :], which agrees with matmul up to rounding;
-    larger ranks go to matmul.  Rank 2 on more than one slice writes each of
-    the four entries as a[..., i, 0] b[..., 0, k] + a[..., i, 1] b[..., 1, k]
-    on strided views: the broadcast form's operations in its order, without
-    its length-2 inner loops.  numpy multiplies complex numbers with a fused
-    multiply-add in its vector loops but not in a one-element loop, so a
-    single slice keeps the broadcast form; then the bits agree with it on
-    every broadcast layout tried.
+    numpy's matmul makes one BLAS call per slice of a stack, so rank 2 writes
+    each of the four entries as a[..., i, 0] b[..., 0, k] + a[..., i, 1]
+    b[..., 1, k] on strided views instead: the operations of the broadcast
+    form sum_j a[..., :, j, None] b[..., None, j, :], in its order and with
+    its bits.  Other ranks go to matmul.
     """
-    n = a.shape[-1]
-    if n > _MM_RANK_CUT:
+    if a.shape[-1] != 2:
         return a @ b
-    if n == 2 and max(a.size, b.size) > 4:  # more than one slice
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
-        for i in range(2):
-            for k in range(2):
-                entry = out[..., i, k]
-                np.multiply(a[..., i, 0], b[..., 0, k], out=entry)
-                entry += a[..., i, 1] * b[..., 1, k]
-        return out
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    for j in range(1, n):
-        out += a[..., :, j, None] * b[..., None, j, :]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    for i in range(2):
+        for k in range(2):
+            entry = out[..., i, k]
+            np.multiply(a[..., i, 0], b[..., 0, k], out=entry)
+            entry += a[..., i, 1] * b[..., 1, k]
     return out
 
 
@@ -288,86 +262,62 @@ def _cosh_sinhc(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, s
 
 
-def _expm2(b: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """exp of an (N, 2, 2) stack from c(q), s(q): e^mu (c I + s N), N = b - mu I."""
-    mu = (b[:, 0, 0] + b[:, 1, 1]) / 2
-    d = (b[:, 0, 0] - b[:, 1, 1]) / 2  # N = [[d, b01], [b10, -d]]
-    e = np.exp(mu)
-    es = e * s
-    out = np.empty_like(b)
-    out[:, 0, 0] = e * (c + s * d)
-    out[:, 1, 1] = e * (c - s * d)
-    out[:, 0, 1] = es * b[:, 0, 1]
-    out[:, 1, 0] = es * b[:, 1, 0]
-    return out
-
-
-def _expm(a, negative: bool = False):
+def _expm(a):
     """exp of every slice of an (..., n, n) stack, by batched scaling and squaring.
 
-    Rank 2 uses the Cayley-Hamilton closed form (Moler & Van Loan, SIAM Rev.
-    45 (2003)): with mu = tr X / 2, N = X - mu I and q = -det N, N^2 = q I, so
-    exp(X) = e^mu (c(q) I + s(q) N) with c, s from _cosh_sinhc.  Slices whose
-    1-norm exceeds _THETA2 are scaled by their own 2^-s first.  Ranks >= 3
-    give each slice the lowest Pade degree m in {3, 5, 7, 9, 13} whose
-    theta_m bounds its 1-norm; slices beyond theta_13 are scaled by 2^-s, and
-    each degree group makes one batched solve per sign.  Either way each
-    slice is squared s times in stacked products (_mm); the path depends only
-    on the rank.
-
-    With negative=True it returns the pair (exp(a), exp(-a)).  -a has the
-    same norms and scalings.  At rank 2, q(-X) = q(X) bit for bit, so exp(-a)
-    reuses c and s; at rank >= 3 the diagonal Pade approximant satisfies
-    r_m(-X) = r_m(X)^{-1} with V(-X) = V(X) and U(-X) = -U(X) bit for bit, so
-    exp(-a) is solve(V + U, V - U) from the same U, V.  Both ways exp(-a)
-    equals _expm(-a) bit for bit.
+    Each slice whose 1-norm exceeds theta (_THETA2 at rank 2, theta_13
+    otherwise) is scaled by its own 2^-s first and squared s times after, in
+    stacked products (_mm).  Rank 2 uses the Cayley-Hamilton closed form
+    (Moler & Van Loan, SIAM Rev. 45 (2003)): with mu = tr X / 2, N = X - mu I
+    and q = -det N, N^2 = q I, so exp(X) = e^mu (c(q) I + s(q) N) with c, s
+    from _cosh_sinhc.  Other ranks give each slice the lowest Pade degree m
+    in {3, 5, 7, 9, 13} whose theta_m bounds its 1-norm, so the scaled slices
+    are the degree-13 ones with s > 0, and make one batched solve per degree.
     """
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.inexact):
         a = a.astype(float)
     n = a.shape[-1]
     if n <= 1 or a.size == 0:
-        return (np.exp(a), np.exp(-a)) if negative else np.exp(a)
-    flat = a.reshape(-1, n, n)
+        return np.exp(a)
+    flat = np.ascontiguousarray(a.reshape(-1, n, n))
     norms = np.abs(flat).sum(axis=-2).max(axis=-1)
     norms[~np.isfinite(norms)] = 0.0  # non-finite slices stay non-finite
     theta = _THETA2 if n == 2 else _THETA[13]
     big = norms > theta
     s = np.zeros(norms.shape, dtype=int)
     s[big] = np.ceil(np.log2(norms[big] / theta)).astype(int)
+    # scaled part by part: a complex times a real passes through complex
+    # multiplication, where 0 * inf makes nan of a non-finite entry's other
+    # part and x * a - 0 * b can flip the sign of a zero
+    scale = np.ldexp(1.0, -s).astype(flat.real.dtype)[:, None, None]
+    b = (flat.view(flat.real.dtype) * scale).view(flat.dtype)
     if n == 2:
-        # scaled part by part: complex-times-real would pass through complex
-        # multiplication, whose signed zeros can make 2^-s (-X) differ from
-        # -(2^-s X); this way -a scales to exactly -b
-        b = np.ascontiguousarray(flat)
-        scale = np.ldexp(1.0, -s).astype(b.real.dtype)[:, None, None]
-        b = (b.view(b.real.dtype) * scale).view(b.dtype)
-        d = (b[:, 0, 0] - b[:, 1, 1]) / 2
+        mu = (b[:, 0, 0] + b[:, 1, 1]) / 2
+        d = (b[:, 0, 0] - b[:, 1, 1]) / 2  # N = [[d, b01], [b10, -d]]
         c, sh = _cosh_sinhc(d * d + b[:, 0, 1] * b[:, 1, 0])
-        outs = [_expm2(b, c, sh)] + ([_expm2(-b, c, sh)] if negative else [])
+        e = np.exp(mu)
+        es = e * sh
+        out = np.empty_like(b)
+        out[:, 0, 0] = e * (c + sh * d)
+        out[:, 1, 1] = e * (c - sh * d)
+        out[:, 0, 1] = es * b[:, 0, 1]
+        out[:, 1, 0] = es * b[:, 1, 0]
     else:
         degree = np.full(norms.shape, 13)
         for m in (9, 7, 5, 3):
             degree[norms <= _THETA[m]] = m
-        outs = [np.empty_like(flat) for _ in range(1 + negative)]
+        out = np.empty_like(b)
         for m in _PADE:
             idx = np.flatnonzero(degree == m)
-            if idx.size == 0:
-                continue
-            b = flat[idx]
-            if m == 13:
-                b = np.ldexp(1.0, -s[idx])[:, None, None] * b
-            u, v = _pade_uv(b, m)
-            outs[0][idx] = np.linalg.solve(v - u, v + u)
-            if negative:
-                outs[1][idx] = np.linalg.solve(v + u, v - u)
+            if idx.size:
+                u, v = _pade_uv(b[idx], m)
+                out[idx] = np.linalg.solve(v - u, v + u)
     for k in range(1, int(s.max()) + 1):
         idx = np.flatnonzero(s >= k)
-        for out in outs:
-            sq = out[idx]
-            out[idx] = _mm(sq, sq)
-    outs = [out.reshape(a.shape) for out in outs]
-    return tuple(outs) if negative else outs[0]
+        sq = out[idx]
+        out[idx] = _mm(sq, sq)
+    return out.reshape(a.shape)
 
 
 def _det(a: np.ndarray) -> np.ndarray:
@@ -690,14 +640,12 @@ def _conjugator(a1: np.ndarray, a2: np.ndarray) -> Callable[[np.ndarray], np.nda
     factors e^{+-mu f} cancel, so
         exp(-f A2) A1 exp(f A2) = c^2 A1 + c s f [A1, N] - (s f)^2 N A1 N:
     three scalar fields times 2 x 2 matrices formed once, one _cosh_sinhc
-    call and no _expm.  Other ranks multiply the pair _expm(f A2,
-    negative=True) around A1.
+    call and no _expm.  Other ranks compute _expm(-f A2) A1 _expm(f A2).
     """
-    n = a1.shape[-1]
-    if n != 2:
+    if a1.shape[-1] != 2:
         def conjugate(f):
-            e2, e2i = _expm(f[..., None, None] * a2, negative=True)
-            return _mm(_mm(e2i, a1), e2)
+            x = f[..., None, None] * a2
+            return _mm(_mm(_expm(-x), a1), _expm(x))
         return conjugate
     nil = a2 - (a2[0, 0] + a2[1, 1]) / 2 * np.eye(2)
     q0 = -_det(nil)

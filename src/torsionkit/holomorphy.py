@@ -43,18 +43,17 @@ def cr_residual(g: Callable[[complex], complex], z0: complex, h: float) -> float
     return float(abs(gx + 1j * gy) / (4.0 * h))
 
 
-def cr_order(g: Callable[[complex], complex], z0: complex, h: float,
-             floor_scale: float | None = None) -> tuple[float, float, float]:
+def cr_order(g: Callable[[complex], complex], z0: complex, h: float) -> tuple[float, float, float]:
     """(residual at h, residual at h/2, measured order).
 
     order = log2(res(h) / res(h/2)); when both residuals sit below the
     roundoff floor the order is unmeasurable and reported as +inf (the
-    function is at machine-precision holomorphic already).
+    function is at machine-precision holomorphic already); the floor is
+    CR_FLOOR relative to max(1, |g(z0)|).
     """
     r1 = cr_residual(g, z0, h)
     r2 = cr_residual(g, z0, h / 2.0)
-    scale = floor_scale if floor_scale is not None else max(1.0, abs(g(z0)))
-    floor = CR_FLOOR * scale
+    floor = CR_FLOOR * max(1.0, abs(g(z0)))
     if r1 < floor and r2 < floor:
         return r1, r2, float("inf")
     if r2 == 0.0:
@@ -88,16 +87,17 @@ class RepresentationCurve:
             mats[g] = m
         return Representation(self.rank, mats)
 
-    def validate(self, tol: float = 1e-10, samples: int = 5) -> float:
-        """Max relation residual over sampled z in the closed disc of the curve."""
+    def validate(self) -> float:
+        """Max relation residual at z = 0 and at 4 points of the curve's boundary circle.
+
+        Raises StructuralError when it exceeds 1e-10.
+        """
         worst = 0.0
-        pts = [0.0] + [self.radius * np.exp(2j * np.pi * k / (samples - 1))
-                       for k in range(samples - 1)] if samples > 1 else [0.0]
-        for z in pts:
+        for z in [0.0] + [self.radius * np.exp(2j * np.pi * k / 4) for k in range(4)]:
             rep = self.at(z)
             for w in self.relations:
-                worst = max(worst, rep.relation_residual(w, f"{tol:.0e} at z = {z}"))
-        if worst > tol:
+                worst = max(worst, rep.relation_residual(w, f"1e-10 at z = {z}"))
+        if worst > 1e-10:
             raise StructuralError(f"curve leaves the representation variety: {worst:.2e}")
         return worst
 

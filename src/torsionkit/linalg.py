@@ -159,16 +159,13 @@ def spectral_projector(t: np.ndarray, z: np.ndarray, select):
     return z[:, :k], big, big_eigs
 
 
-def check_agmon(eigs: np.ndarray, theta: float, tol: float = AGMON_ANGLE_TOL) -> None:
-    """Raise AgmonError if any eigenvalue lies within tol (radians) of the ray arg=theta."""
+def check_agmon(eigs: np.ndarray, theta: float) -> None:
+    """Raise AgmonError if a nonzero eigenvalue lies within AGMON_ANGLE_TOL of the ray arg=theta."""
     eigs = np.asarray(eigs, dtype=np.complex128).ravel()
     nz = eigs[np.abs(eigs) > 0]
-    if nz.size == 0:
-        return
-    d = np.angle(nz * np.exp(-1j * theta))
-    if np.any(np.abs(d) < tol):
-        bad = nz[np.abs(d) < tol]
-        raise AgmonError(f"eigenvalue {bad[0]} within {tol} rad of the ray arg={theta}")
+    bad = nz[np.abs(np.angle(nz * np.exp(-1j * theta))) < AGMON_ANGLE_TOL]
+    if bad.size:
+        raise AgmonError(f"eigenvalue {bad[0]} within {AGMON_ANGLE_TOL} rad of the ray arg={theta}")
 
 
 def log_branch(w: complex, theta: float) -> complex:

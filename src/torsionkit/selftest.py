@@ -266,13 +266,18 @@ def _circle_zeta_determinants(seed):
             f"det(pi)={d_pi.real:.12f}, det(2pi/3)={d_23.real:.12f}")
 
 
-@_criterion("eta_values", budget_s=1.0, eta_pi=("<", 1e-13), eta_half_dev=("<", 1e-10))
+@_criterion("eta_values", budget_s=1.0, eta_pi=("<", 1e-13), eta_half_dev=("<", 1e-10),
+            eta_small_dev=("<", 1e-9))
 def _eta_values(seed):
-    """Criterion 3: the circle eta invariant is 0 at theta = pi and 1/2 at pi/2."""
+    """Criterion 3: the circle eta invariant is 0 at theta = pi, 1/2 at pi/2 and
+    1 - theta / pi at theta = 0.01."""
     e_pi = eta_circle(CircleModel(1.0, -1.0 + 0.0j))
     e_half = eta_circle(CircleModel(1.0, 1.0j))
-    return ({"eta_pi": abs(e_pi), "eta_half_dev": abs(e_half - 0.5)},
-            f"eta(pi)={abs(e_pi):.2e}, eta(pi/2)={e_half.real:.12f}")
+    e_small = eta_circle(CircleModel(1.0, complex(math.cos(0.01), math.sin(0.01))))
+    return ({"eta_pi": abs(e_pi), "eta_half_dev": abs(e_half - 0.5),
+             "eta_small_dev": abs(e_small - (1 - 0.01 / math.pi))},
+            f"eta(pi)={abs(e_pi):.2e}, eta(pi/2)={e_half.real:.12f}, "
+            f"eta(0.01)={e_small.real:.12f}")
 
 
 @_criterion("lesch_gluing_factor", max_residual=("<", 1e-6))
@@ -334,7 +339,7 @@ def _sigma_sign_relation(seed):
          [Representation(2, {"t": t}) for t in random_isos(rng, [2] * 10)]),
         ("disc", disc_cw(), [trivial_representation(n, []) for n in range(1, 11)]),
     ):
-        sign, ratios = check_sigma_relation(k, reps, tol=1e-8)
+        sign, ratios = check_sigma_relation(k, reps)
         dev = max(abs(r - sign) for r in ratios)
         worst = max(worst, dev)
         details.append(f"{name}: sign {sign:+d}, max dev {dev:.2e}, {len(reps)} reps")
@@ -517,12 +522,12 @@ def _fusion_tower_once(rng) -> float:
 
 @_criterion("twisted_dd_zero", max_defect=("<=", 1e-10))
 def _twisted_dd_zero(seed):
-    """dd = 0 on the torus for the trivial and 19 random commuting representations."""
+    """dd = 0 on the torus for the trivial and 20 random commuting representations of rank <= 3."""
     rng = np.random.default_rng(seed)
     torus = torus_cw()
     worst = 0.0
-    for i in range(20):
-        n = int(rng.integers(1, 3))
+    for i in range(21):
+        n = int(rng.integers(1, 4))
         if i == 0:
             rep = trivial_representation(n, ["t", "s"])
         else:
@@ -531,7 +536,7 @@ def _twisted_dd_zero(seed):
             h_ = np.diag(rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(0, 6.28, n)))
             rep = Representation(n, {"t": g, "s": h_})
         worst = max(worst, build_cochain(torus, rep).composition_defect())
-    return {"max_defect": worst}, "20 representations"
+    return {"max_defect": worst}, "21 representations of rank <= 3"
 
 
 @_criterion("sigma_lift_covariance", edge_dev=("<", 1e-10), vertex_dev=("<", 1e-10))
@@ -549,14 +554,14 @@ def _sigma_lift_covariance(seed):
 
 @_criterion("sigma_rational_interpolation", dev=("<", 1e-9))
 def _sigma_rational_interpolation(seed):
-    """sigma along t = 2 + s is a polynomial: a cubic through 5 samples predicts s = 0.13."""
+    """sigma along t = 2 + s is a polynomial: a cubic through 5 samples predicts s = 0.13, -0.07."""
     k = circle_cw()
     rank1 = lambda lam: Representation(1, {"t": np.array([[lam]], complex)})
     ts = np.linspace(-0.2, 0.2, 5)
     coeffs = np.polyfit(ts, np.array([sigma(k, rank1(2.0 + t)).coordinate for t in ts]), 3)
-    probe = 0.13
-    dev = abs(sigma(k, rank1(2.0 + probe)).coordinate - np.polyval(coeffs, probe))
-    return {"dev": dev}, "cubic fit at 5 points, probe 0.13"
+    dev = max(abs(sigma(k, rank1(2.0 + probe)).coordinate - np.polyval(coeffs, probe))
+              for probe in (0.13, -0.07))
+    return {"dev": dev}, "cubic fit at 5 points, probes 0.13 and -0.07"
 
 
 @_criterion("dual_relation", max_residual=("<", 1e-12))

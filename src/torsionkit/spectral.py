@@ -27,7 +27,7 @@ import numpy as np
 
 from .chain import DetLineElement, les_of_ses
 from .cw import CWData, transmission_ses_for, trivial_representation
-from .linalg import AgmonError, DegeneracyError, StructuralError
+from .linalg import DegeneracyError, StructuralError, check_agmon
 
 TWO_PI = 2.0 * math.pi
 
@@ -158,34 +158,39 @@ class IntervalModel:
             raise StructuralError("bc must be 'relative' or 'absolute'")
 
 
+def _circle_frequencies(m: CircleModel, cutoff: int) -> np.ndarray:
+    """nu_n = (2 pi n + theta - i log r) / L for n in [-cutoff, cutoff]."""
+    n = np.arange(-cutoff, cutoff + 1)
+    return (TWO_PI * n + m.theta - 1j * m.log_radius) / m.circumference
+
+
 def circle_laplace_spectrum(m: CircleModel, cutoff: int) -> np.ndarray:
     """Eigenvalues mu_n = ((2 pi n + theta - i log r)/L)^2 for n in [-cutoff, cutoff]."""
     if cutoff < 1:
         raise StructuralError("cutoff must be >= 1")
-    n = np.arange(-cutoff, cutoff + 1)
-    freq = (TWO_PI * n + m.theta - 1j * m.log_radius) / m.circumference
-    return freq ** 2
+    return _circle_frequencies(m, cutoff) ** 2
+
+
+def _circle_zeta(m: CircleModel, zeta: ZetaEvaluator) -> tuple[complex, complex]:
+    """(zeta_Delta(0), zeta'_Delta(0)) of the circle Laplacian, zero mode excluded."""
+    if m.acyclic:
+        a = m.exponent
+        z0 = zeta.hurwitz(0.0, a) + zeta.hurwitz(0.0, 1.0 - a)
+        zp0 = zeta.hurwitz_ds(0.0, a) + zeta.hurwitz_ds(0.0, 1.0 - a)
+    else:  # spectrum 2 x {(2 pi n / L)^2, n >= 1}
+        z0 = 2.0 * zeta.riemann(0.0)
+        zp0 = 2.0 * zeta.riemann_ds(0.0)
+    return z0, 2.0 * math.log(m.circumference / TWO_PI) * z0 + 2.0 * zp0
 
 
 def zeta_det_laplacian_circle(m: CircleModel, zeta: ZetaEvaluator = DEFAULT_ZETA) -> complex:
-    """det' of the twisted circle Laplacian via Hurwitz continuation.
+    """det' of the twisted circle Laplacian via Hurwitz continuation: exp(-zeta'_Delta(0)).
 
     For lambda = 1 the zero mode is excluded and the classical value L^2 comes
     out; otherwise the result equals 4 sin^2(pi a), i.e. (lambda-1)^2/lambda,
     and is independent of L.
     """
-    el = m.circumference
-    if not m.acyclic:
-        # spectrum 2 x {(2 pi n / L)^2, n >= 1}
-        zp0 = 4.0 * zeta.riemann_ds(0.0)
-        z0 = 2.0 * zeta.riemann(0.0)
-        logdet = -(2.0 * math.log(el / TWO_PI) * z0 + zp0)
-        return complex(np.exp(logdet))
-    a = m.exponent
-    z0 = zeta.hurwitz(0.0, a) + zeta.hurwitz(0.0, 1.0 - a)
-    zp0 = zeta.hurwitz_ds(0.0, a) + zeta.hurwitz_ds(0.0, 1.0 - a)
-    logdet = -(2.0 * math.log(el / TWO_PI) * z0 + 2.0 * zp0)
-    return complex(np.exp(logdet))
+    return complex(np.exp(-_circle_zeta(m, zeta)[1]))
 
 
 def circle_zero_modes(m: CircleModel) -> int:
@@ -210,32 +215,21 @@ def xi_circle(m: CircleModel, zeta: ZetaEvaluator = DEFAULT_ZETA) -> tuple[compl
 
     xi  = 1/2 sum_k (-1)^k k zeta'_{B^2|k}(0) = 1/2 log det' Delta,
     xi' = 1/2 sum_k (-1)^k k zeta_{B^2|k}(0),
-    with both degrees carrying the same spectrum.
+    with both degrees carrying the same spectrum: xi = -zeta'_Delta(0) / 2 and
+    xi' = -zeta_Delta(0) / 2.
     """
-    el = m.circumference
-    if m.acyclic:
-        a = m.exponent
-        z0 = zeta.hurwitz(0.0, a) + zeta.hurwitz(0.0, 1.0 - a)
-        zp0 = 2.0 * math.log(el / TWO_PI) * z0 \
-            + 2.0 * (zeta.hurwitz_ds(0.0, a) + zeta.hurwitz_ds(0.0, 1.0 - a))
-    else:
-        z0 = 2.0 * zeta.riemann(0.0)
-        zp0 = 2.0 * math.log(el / TWO_PI) * z0 + 4.0 * zeta.riemann_ds(0.0)
-    xi = -0.5 * zp0
-    xi_prime = -0.5 * z0
-    return complex(xi), complex(xi_prime)
+    z0, zp0 = _circle_zeta(m, zeta)
+    return complex(-0.5 * zp0), complex(-0.5 * z0)
 
 
-def _check_agmon_circle(m: CircleModel, theta_agmon: float, cutoff: int = 200) -> None:
+def _check_agmon_circle(m: CircleModel, theta_agmon: float) -> None:
+    """check_agmon on both rays for the frequencies |n| <= 200 above 1e-12 in modulus."""
     if not (-math.pi < theta_agmon < 0):
         raise StructuralError("Agmon angle must lie in (-pi, 0)")
-    n = np.arange(-cutoff, cutoff + 1)
-    freq = (TWO_PI * n + m.theta - 1j * m.log_radius) / m.circumference
+    freq = _circle_frequencies(m, 200)
     freq = freq[np.abs(freq) > 1e-12]
     for ray in (theta_agmon, theta_agmon + math.pi):
-        d = np.angle(freq * np.exp(-1j * ray))
-        if np.any(np.abs(d) < 1e-6):
-            raise AgmonError(f"spectrum meets the ray arg = {ray}")
+        check_agmon(freq, ray)
 
 
 def graded_det_circle(m: CircleModel, theta_agmon: float,
@@ -333,12 +327,12 @@ def circle_split_cw(l1: float, l2: float) -> tuple[CWData, dict]:
     return k, {"e1": float(l1), "e2": float(l2)}
 
 
-def _h0_value(vec: np.ndarray, tol: float = 1e-9) -> complex:
-    """The constant value of a vertex-cochain class of a connected piece."""
+def _h0_value(vec: np.ndarray) -> complex:
+    """The constant value, to 1e-9 relative, of a vertex-cochain class of a connected piece."""
     if vec.size == 0:
         raise DegeneracyError("empty H^0 class")
     v0 = vec[0]
-    if np.max(np.abs(vec - v0)) > tol * max(1.0, abs(v0)):
+    if np.max(np.abs(vec - v0)) > 1e-9 * max(1.0, abs(v0)):
         raise DegeneracyError("H^0 class is not constant across vertices")
     return complex(v0)
 

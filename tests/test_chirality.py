@@ -356,36 +356,6 @@ def test_xi_hat_count_convention():
     assert abs(ex.xi_prime - ex.xi_hat) < 1e-14
 
 
-def test_eta_xi_det_identity_random():
-    rng = np.random.default_rng(6)
-    for trial in range(20):
-        m = 1 if trial % 2 == 0 else 3
-        x = random_chirality_complex(rng, m, 3, acyclic=True)
-        s = odd_signature(x)
-        for th in (-0.7, -1.9):
-            try:
-                dg = graded_determinant(s, 0.0, th)
-                ex = eta_xi_finite(s, th)
-            except (AgmonError, DegeneracyError):
-                continue
-            assert abs(ex.det_gr_reconstruction() - dg) < 1e-10 * abs(dg)
-
-
-def test_graded_det_multiplicative_direct_sum():
-    rng = np.random.default_rng(7)
-    for _ in range(8):
-        x = random_chirality_complex(rng, 3, 2, acyclic=True)
-        y = random_chirality_complex(rng, 3, 2, acyclic=True)
-        xy = ChiralityComplex(
-            x.complex.direct_sum(y.complex),
-            [sla.block_diag(gx, gy) for gx, gy in zip(x.gamma, y.gamma)],
-            [sla.block_diag(hx, hy) for hx, hy in zip(x.h, y.h)])
-        dg = graded_determinant(odd_signature(xy), 0.0, -0.9)
-        dgx = graded_determinant(odd_signature(x), 0.0, -0.9)
-        dgy = graded_determinant(odd_signature(y), 0.0, -0.9)
-        assert abs(dg - dgx * dgy) < 1e-10 * abs(dg)
-
-
 def test_kern_decomposition_dims():
     rng = np.random.default_rng(8)
     for m in (1, 3):

@@ -168,31 +168,6 @@ def test_check_sigma_relation_sign_constant_random_rank2():
     assert sign in (1, -1)
 
 
-def test_sigma_rational_in_representation():
-    # sigma along a linear family is a polynomial; interpolation reproduces it
-    ts = np.linspace(-0.2, 0.2, 5)
-    vals = [sigma(circle_cw(), rank1(2.0 + t)).coordinate for t in ts]
-    coeffs = np.polyfit(ts, np.array(vals), 3)
-    for probe in (0.13, -0.07):
-        direct = sigma(circle_cw(), rank1(2.0 + probe)).coordinate
-        assert abs(direct - np.polyval(coeffs, probe)) < 1e-9
-
-
-def test_twisted_dd_zero_random_reps():
-    rng = np.random.default_rng(7)
-    torus = torus_cw()
-    for i in range(21):
-        n = int(rng.integers(1, 4))
-        if i == 0:
-            rep = trivial_representation(n, ["t", "s"])
-        else:
-            g = np.diag(rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(0, 6.28, n)))
-            h = np.diag(rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(0, 6.28, n)))
-            rep = Representation(n, {"t": g, "s": h})
-        c = build_cochain(torus, rep)
-        assert c.composition_defect() < 1e-10
-
-
 def test_bad_lift_data_raises():
     k = CWData(cells=[("v", 0), ("a", 1), ("f", 2)],
                boundary={"a": [("v", 1, "t"), ("v", -1, "")],

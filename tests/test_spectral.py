@@ -103,12 +103,6 @@ def test_circle_det_closed_form_general_holonomy():
         assert abs(d - want) < 1e-9 * abs(want)
 
 
-def test_eta_values():
-    assert abs(eta_circle(unitary(math.pi))) < 1e-13
-    assert abs(eta_circle(unitary(math.pi / 2)) - 0.5) < 1e-10
-    assert abs(eta_circle(unitary(0.01)) - (1 - 0.01 / math.pi)) < 1e-9
-
-
 def test_eta_window_symmetry():
     for t in (0.4, 1.3, 2.9):
         assert abs(eta_circle(unitary(t)) + eta_circle(unitary(2 * math.pi - t))) < 1e-12
