@@ -202,11 +202,16 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     each of the four entries as a[..., i, 0] b[..., 0, k] + a[..., i, 1]
     b[..., 1, k] on strided views instead: the operations of the broadcast
     form sum_j a[..., :, j, None] b[..., None, j, :], in its order and with
-    its bits.  Other ranks go to matmul.
+    its bits.  numpy multiplies complex numbers with a fused multiply-add in
+    its vector loops but not in a one-element loop, so a single slice takes
+    the broadcast form itself.  Other ranks go to matmul.
     """
     if a.shape[-1] != 2:
         return a @ b
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    if math.prod(shape[:-2]) == 1:
+        return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+    out = np.empty(shape, np.result_type(a, b))
     for i in range(2):
         for k in range(2):
             entry = out[..., i, k]

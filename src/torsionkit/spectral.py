@@ -15,11 +15,18 @@ The interval of length L has Dirichlet spectrum (pi n / L)^2, n >= 1, giving
 det' = 2L; absolute boundary conditions add one zero mode.
 
 All analytic continuation happens through the Euler-Maclaurin Hurwitz zeta
-evaluator below; mpmath is used only by the test suite as an oracle.
+evaluator below.  It gives zeta_H and its s-derivative together, from one
+numpy pass over the direct terms, once per distinct (s, a): the circle
+command needs three, (0, a), (0, 1 - a) and (0, 1).  The closed forms
+zeta_H(0, a) = 1/2 - a and Lerch's d/ds zeta_H(0, a) = log Gamma(a) -
+log(2 pi) / 2 are oracles of the tests and of selftest, not the
+implementation; mpmath is used only by the test suite.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,69 +43,77 @@ _BERNOULLI = [
     1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66,
     -691.0 / 2730, 7.0 / 6, -3617.0 / 510, 43867.0 / 798, -174611.0 / 330,
 ]
+# B_{2j} / (2j)!, the Euler-Maclaurin weights
+_EM_WEIGHTS = [b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI, start=1)]
+# distinct (s, a) kept per evaluator; a circle op asks for 11: (0, a), (0, 1 - a),
+# (0, 1) and the 8 eta points of its K^2 holomorphy check
+_CACHE_SIZE = 64
+
+
+def _hurwitz_pair(cutoff: int, order: int, s: complex, a: complex) -> tuple[complex, complex]:
+    """(zeta_H(s, a), d/ds zeta_H(s, a)) from one direct sum and one Bernoulli tail.
+
+    The n = cutoff + ceil|Im s| + ceil|a| direct terms (k + a)^{-s} =
+    exp(-s log(k + a)) and their s-derivatives -log(k + a) (k + a)^{-s} are
+    summed as arrays over one array of logs.  The tail at w = n + a carries
+    the Pochhammer symbol p_j(s) = s (s+1) ... (s+2j-2) and its derivative
+    through (p, p') <- (p r, p' r + p) over the two new roots r at each
+    order, which stays exact where a root is 0 (s = 0, -2, ...).
+    """
+    if a == 0:
+        raise StructuralError("Hurwitz zeta needs a != 0")
+    if abs(s - 1.0) < 1e-12:
+        raise DegeneracyError("zeta_H has a pole at s = 1")
+    n = cutoff + int(math.ceil(abs(s.imag))) + int(math.ceil(abs(a)))
+    lk = np.log(np.arange(n) + a)
+    terms = np.exp(-s * lk)
+    zeta = complex(terms.sum())
+    dzeta = -complex(lk @ terms)
+    w = n + a
+    lw = cmath.log(w)
+    w_s = w ** (-s)                           # exact powers at integer s
+    w_1s = w * w_s / (s - 1.0)                # w^{1-s} / (s - 1)
+    zeta += w_1s + 0.5 * w_s
+    dzeta -= w_1s * (lw + 1.0 / (s - 1.0)) + 0.5 * lw * w_s
+    p, dp = s, 1.0 + 0.0j
+    wpow = w_s / w                            # w^{-s-2j+1} at j = 1
+    w2 = w * w
+    for j, c in enumerate(_EM_WEIGHTS[:order], start=1):
+        zeta += c * p * wpow
+        dzeta += c * (dp - lw * p) * wpow
+        for r in (s + (2 * j - 1), s + 2 * j):
+            p, dp = p * r, dp * r + p
+        wpow /= w2
+    return zeta, dzeta
 
 
 class ZetaEvaluator:
     """Hurwitz zeta zeta_H(s, a) and its s-derivative by Euler-Maclaurin.
 
     Valid for complex a off the non-positive reals (here always Re a >= 0
-    with a != 0) and s away from 1.  cutoff is the number of directly summed
-    terms, order the number of Bernoulli corrections (<= 10).
+    with a != 0) and s away from 1.  cutoff (>= 1) is the number of directly
+    summed terms, order the number of Bernoulli corrections (<= 10).
+    hurwitz and hurwitz_ds read one (zeta, zeta') pair per distinct (s, a),
+    computed once per evaluator and kept in a bounded LRU cache: a circle
+    model needs zeta_H(0, .) and its derivative at a and 1 - a, and every
+    determinant, eta and xi of the model shares them.
     """
 
     def __init__(self, cutoff: int = 40, order: int = 8):
         if not (1 <= order <= len(_BERNOULLI)):
-            raise StructuralError(f"order must be in 1..{len(_BERNOULLI)}")
+            raise StructuralError(f"order must be in 1..{len(_BERNOULLI)}, got {order}")
+        if not cutoff >= 1:
+            raise StructuralError(f"cutoff must be >= 1, got {cutoff}")
         self.cutoff = int(cutoff)
         self.order = int(order)
-
-    def _split(self, s: complex, a: complex):
-        n = self.cutoff + int(math.ceil(abs(s.imag))) + int(math.ceil(abs(a)))
-        direct = sum((k + a) ** (-s) for k in range(n))
-        return n, direct
+        self._pair = functools.lru_cache(maxsize=_CACHE_SIZE)(_hurwitz_pair)
 
     def hurwitz(self, s: complex, a: complex) -> complex:
-        s = complex(s)
-        a = complex(a)
-        if a == 0:
-            raise StructuralError("Hurwitz zeta needs a != 0")
-        if abs(s - 1.0) < 1e-12:
-            raise DegeneracyError("zeta_H has a pole at s = 1")
-        n, total = self._split(s, a)
-        w = n + a
-        total += w ** (1.0 - s) / (s - 1.0) + 0.5 * w ** (-s)
-        poch = s
-        wpow = w ** (-s - 1.0)
-        for j, b in enumerate(_BERNOULLI[: self.order], start=1):
-            fact = math.factorial(2 * j)
-            total += b / fact * poch * wpow
-            poch *= (s + 2 * j - 1) * (s + 2 * j)
-            wpow /= w * w
-        return complex(total)
+        return self._pair(self.cutoff, self.order, complex(s), complex(a))[0]
 
     def hurwitz_ds(self, s: complex, a: complex) -> complex:
         """d/ds zeta_H(s, a), term-by-term analytic differentiation."""
-        s = complex(s)
-        a = complex(a)
-        if a == 0:
-            raise StructuralError("Hurwitz zeta needs a != 0")
-        if abs(s - 1.0) < 1e-12:
-            raise DegeneracyError("zeta_H has a pole at s = 1")
-        n = self.cutoff + int(math.ceil(abs(s.imag))) + int(math.ceil(abs(a)))
-        total = sum(-np.log(k + a) * (k + a) ** (-s) for k in range(n))
-        w = n + a
-        lw = np.log(w)
-        total += -w ** (1.0 - s) * (lw / (s - 1.0) + 1.0 / (s - 1.0) ** 2)
-        total += -0.5 * lw * w ** (-s)
-        for j, b in enumerate(_BERNOULLI[: self.order], start=1):
-            fact = math.factorial(2 * j)
-            # pochhammer p_j(s) = s (s+1) ... (s + 2j - 2) and its derivative
-            roots = [s + i for i in range(2 * j - 1)]
-            p = np.prod(roots)
-            dp = sum(np.prod([r for i2, r in enumerate(roots) if i2 != i1])
-                     for i1 in range(len(roots)))
-            total += b / fact * (dp - lw * p) * w ** (-s - 2 * j + 1.0)
-        return complex(total)
+        return self._pair(self.cutoff, self.order, complex(s), complex(a))[1]
 
     def riemann(self, s: complex) -> complex:
         return self.hurwitz(s, 1.0)

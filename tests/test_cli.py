@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg as sla
 
 import torsionkit.cw as cw_module
-from torsionkit import cli, holomorphy
+from torsionkit import cli, holomorphy, spectral
 from torsionkit import selftest as selftest_mod
 from torsionkit.chain import GradedComplex, ShortExactSequenceData, canonical_iso
 from torsionkit.chirality import random_chirality_complex
@@ -248,6 +248,47 @@ def test_circle_command_values(tmp_path, capsys):
     det = out["results"]["det_laplacian"]
     assert abs(det[0] - 4.0) < 1e-8 and abs(det[1]) < 1e-10
     assert out["results"]["lesch_residual"] < 1e-6
+
+
+@pytest.mark.parametrize("cutoff", ["0", "-3"])
+def test_circle_rejects_a_cutoff_below_one(capsys, cutoff):
+    assert main(["--cutoff", cutoff, "circle", "--theta", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": f"cutoff must be >= 1, got {cutoff}",
+                                        "exit": 2}
+
+
+def test_circle_command_evaluates_each_hurwitz_point_once(monkeypatch, capsys):
+    # an acyclic circle op asks for d/ds zeta_H(0, .) 9 times at 3 points:
+    # a and 1 - a (det', xi twice) and 1 (the gluing check's circle and intervals)
+    kernel_calls, ds_calls = [], []
+    kernel, hurwitz_ds = spectral._hurwitz_pair, spectral.ZetaEvaluator.hurwitz_ds
+
+    def counted_kernel(cutoff, order, s, a):
+        kernel_calls.append((s, a))
+        return kernel(cutoff, order, s, a)
+
+    def counted_ds(self, s, a):
+        ds_calls.append((complex(s), complex(a)))
+        return hurwitz_ds(self, s, a)
+
+    monkeypatch.setattr(spectral, "_hurwitz_pair", counted_kernel)
+    monkeypatch.setattr(spectral.ZetaEvaluator, "hurwitz_ds", counted_ds)
+    assert main(["circle", "--theta", "1.0", "--r", "1.5"]) == 0
+    capsys.readouterr()
+    points = set(ds_calls)
+    assert len(ds_calls) == 9 and len(points) == 3 and (0j, 1 + 0j) in points
+    assert sum(key in points for key in kernel_calls) == 3
+    assert len(kernel_calls) == len(set(kernel_calls))
+
+
+def test_python_m_torsionkit_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-m", "torsionkit", "--help"], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.startswith("usage: torsionkit")
+    assert "circle" in out.stdout and out.stderr == ""
 
 
 def test_holo_command(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""tools/oracle_census.py: seed parsing, refined margins and the comparison of two
-census files; and a benchmark op that the census once showed failing."""
+"""tools/oracle_census.py: seed parsing, refined and circle margins and the comparison
+of two census files; and a benchmark op that the census once showed failing."""
 
 import cmath
 import importlib.util
@@ -106,6 +106,29 @@ def test_refined_margin_shift_is_reported(census, tmp_path, capsys):
     assert "ops moved: 1; largest margin shift 0.27 of tolerance " \
            "(det_gr, op ('cli-mix', 302, 'deck', 256))" in out
     assert f"B {b}: 1 ops, 0 failed, worst margin 0.14 of tolerance (det_gr" in out
+
+
+def test_circle_margins_are_fractions_of_the_oracle_tolerance(census):
+    a = 0.2 - 0.05j
+    det = 4 * cmath.sin(cmath.pi * a) ** 2 * (1 - 3e-11)
+    eta = 1 - 2 * a + 5e-11j
+    report = {"results": {"det_laplacian": [det.real, det.imag], "eta": [eta.real, eta.imag]}}
+    margins = census.circle_margins({"a": a}, json.dumps(report))
+    assert margins.keys() == {"det_laplacian", "eta"}
+    assert abs(margins["det_laplacian"] - 0.3) < 1e-4 and abs(margins["eta"] - 0.5) < 1e-4
+
+
+def test_circle_margin_shift_is_reported(census, tmp_path, capsys):
+    def circle(det, report):
+        return {**_row(3, 7, report=report), "workload": "cli-mix", "kind": "circle",
+                "margins": {"det_laplacian": det, "eta": 0.0011}}
+    a = _write(tmp_path / "a.jsonl", [circle(0.006, "aa")])
+    b = _write(tmp_path / "b.jsonl", [circle(0.0027, "bb")])
+    assert census.compare(a, b) == 0
+    out = capsys.readouterr().out
+    assert "('cli-mix', 3, 'deck', 7) circle: report_sha256; det_laplacian 0.006 -> 0.0027" in out
+    assert "ops moved: 1; largest margin shift 0.0033 of tolerance " \
+           "(det_laplacian, op ('cli-mix', 3, 'deck', 7))" in out
 
 
 def test_cli_mix_seed_302_refined_op_passes_its_oracle(tmp_path, monkeypatch):

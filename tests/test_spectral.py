@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torsionkit.linalg import DegeneracyError
 from torsionkit.spectral import (CircleModel, IntervalModel, ZetaEvaluator,
@@ -37,6 +38,42 @@ def test_hurwitz_derivative_against_mpmath():
             mine = z.hurwitz_ds(s, a)
             ref = complex(mpmath.zeta(s, a, 1))
             assert abs(mine - ref) < 1e-10 * max(1.0, abs(ref))
+
+
+EPS = np.finfo(float).eps
+
+
+def _direct_sum_rounding(s, a, cutoff):
+    """n eps sum_k |(k + a)^{-s}| (1 + |log(k + a)|): the worst-case rounding of the
+    direct sum of d/ds zeta_H, whose terms bound those of zeta_H.
+
+    Below 1e-11 unless Re s < 0 with a large cutoff: at s = -2 and cutoff 80
+    the sum grows to ~n^3 / 3 ~ 1.7e5 and cancels against the tail to O(1).
+    """
+    n = cutoff + math.ceil(abs(complex(s).imag)) + math.ceil(abs(a))
+    lk = np.log(np.arange(n) + a)
+    return n * EPS * float(np.sum(np.abs(np.exp(-s * lk)) * (1.0 + np.abs(lk))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=st.sampled_from([0.0, -0.25, -2.0, 0.5 + 0.2j]),
+       a=st.builds(complex, st.floats(0.0, 2.0, exclude_min=True), st.floats(-1.0, 1.0)),
+       cutoff=st.sampled_from([40, 80]))
+@example(s=-2.0, a=1.0 + 0j, cutoff=80)
+@example(s=0.0, a=1.0 + 0j, cutoff=40)
+@example(s=0.5 + 0.2j, a=1.9 + 0.95j, cutoff=40)
+@example(s=-2.0, a=1.6 + 0.1j, cutoff=80)
+def test_hurwitz_pair_against_30_digit_mpmath(s, a, cutoff):
+    # the pinned bounds, 1e-11 (zeta) and 1e-10 (zeta') relative, or the direct
+    # sum's own rounding where that is larger; s = -2 puts a zero root into
+    # the Pochhammer recurrence, |a| > 1 adds direct terms
+    z = ZetaEvaluator(cutoff=cutoff)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.zeta(s, a))
+        ref_ds = complex(mpmath.zeta(s, a, 1))
+    rounding = _direct_sum_rounding(s, a, cutoff)
+    assert abs(z.hurwitz(s, a) - ref) <= max(1e-11 * max(1.0, abs(ref)), rounding)
+    assert abs(z.hurwitz_ds(s, a) - ref_ds) <= max(1e-10 * max(1.0, abs(ref_ds)), rounding)
 
 
 def test_lerch_identities_seeded():

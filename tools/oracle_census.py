@@ -11,7 +11,8 @@ through ``workloads.run_op`` and checks it with ``workloads.check``, at one
 BLAS thread.  Each op gives one line: exit code, sha256 of the report and of
 stderr, the verdict and its margins as fractions of the oracle's tolerance:
 for gauge ops the temporal residual and the monodromy eigenvalue gap, for
-refined ops the Det_gr reconstruction deviation and rho's spread across cuts.
+refined ops the Det_gr reconstruction deviation and rho's spread across cuts,
+for circle ops the det' Laplacian and eta deviations from their closed forms.
 
 --compare lists every op whose bytes, verdict or margin moved between two
 such files and prints, per side, the failures and the worst margin; it exits
@@ -79,6 +80,16 @@ def refined_margins(output: str) -> dict:
             "rho_cuts": res["max_relative_deviation"] / 1e-8}
 
 
+def circle_margins(expect: dict, output: str) -> dict:
+    """det' vs 4 sin^2(pi a) relative and eta vs 1 - 2a, each over 1e-10."""
+    import numpy as np
+    res = json.loads(output)["results"]
+    a = expect["a"]
+    ref = 4 * np.sin(np.pi * a) ** 2
+    return {"det_laplacian": abs(_complex(res["det_laplacian"]) - ref) / abs(ref) / 1e-10,
+            "eta": abs(_complex(res["eta"]) - (1 - 2 * a)) / 1e-10}
+
+
 def census_op(wl, op) -> dict:
     """Run and check one op; an op that raises is recorded with its error, not skipped."""
     try:
@@ -91,7 +102,11 @@ def census_op(wl, op) -> dict:
         report, margins = gauge_bytes(output), gauge_margins(wl, op, output)
     else:
         report = output.encode()
-        margins = refined_margins(output) if op.kind == "refined" and output.strip() else {}
+        margins = {}
+        if op.kind == "refined" and output.strip():
+            margins = refined_margins(output)
+        elif op.kind == "circle" and output.strip():
+            margins = circle_margins(op.expect, output)
     if code != 0:
         verdict = f"exit {code}: {wl.error_line(output, err)}"
     else:
