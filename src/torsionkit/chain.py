@@ -24,14 +24,25 @@ Conventions (fixed here, used everywhere else):
 
 Each GradedComplex factors its differentials once.  Its differentials are
 private read-only copies, and a memo that lives and dies with the complex
-holds the composition defect and one full SVD d_j = U S V^H per degree.
-Everything else is a slice of that SVD: for r = rank d_j, ker d_j is
-V[:, r:], im d_j is U[:, :r] and the row space is V[:, :r].
-complex_scale, verify_complex, cohomology, canonical_iso, torsion_acyclic and
-the long exact sequence read that memo; none of them calls LAPACK on a
-differential itself.  Slicing is safe: a slice spans the same subspace as a
-thin SVD's vectors and differs from them only by rounding, and torsion does
-not depend on the complement chosen.
+holds the composition defect, at most one full SVD d_j = U S V^H per degree
+and at most one LU certificate (below).  Everything else is a slice of an
+SVD: for r = rank d_j, ker d_j is V[:, r:], im d_j is U[:, :r] and the row
+space is V[:, :r].  complex_scale, verify_complex, cohomology,
+canonical_iso, torsion_acyclic and the long exact sequence read that memo,
+so no differential is factored twice.  Slicing is safe: a slice spans the
+same subspace as a thin SVD's vectors and differs from them only by
+rounding, and torsion does not depend on the complement chosen.
+
+A two-term complex 0 -> C^j -d-> C^{j+1} -> 0 with d square needs no SVD
+when d is safely invertible: it is acyclic and its torsion is
+det(d)^{(-1)^j} (Milnor 1966; Turaev 2001, section 2).  _certified_det
+takes det d from one LU and the inverse from the same LU, and keeps them only
+when 2 ||d^-1||_F max(||d||_F, S) RANK_RTOL RANK_WARN_BAND < 1, S the
+inherited scale.  Since sigma_min(d) >= 1 / ||d^-1||_F and sigma_max(d) <=
+||d||_F, the SVD would then put every singular value above RANK_WARN_BAND
+times its cut: full rank, no warning.  The factor 2 covers the rounding of
+the computed inverse.  The bound is one-sided: an input it declines takes
+the SVD path unchanged.
 
 Every complex has one reference scale, complex_scale: its largest singular
 value, or its parent's if it was restricted or sliced from another
@@ -48,8 +59,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .linalg import (
+    RANK_RTOL,
+    RANK_WARN_BAND,
     DegeneracyError,
     StructuralError,
     _factor,
@@ -241,15 +255,63 @@ def _require_complex(c: GradedComplex) -> None:
             f"> {TOL_COMPLEX:.0e} (scale {complex_scale(c):.1e})")
 
 
+def _certified_det(c: GradedComplex):
+    """(j, det d_j) when d_j is the one nonzero differential, square and certified
+    full rank with no warning by its LU; else None.  Memoised per complex.
+
+    The certificate is 2 ||d^-1||_F max(||d||_F, inherited scale) RANK_RTOL
+    RANK_WARN_BAND < 1 with d^-1 from the same LU (an rcond estimate only
+    bounds ||d^-1|| from below, so it cannot certify).  A zero pivot, a zero or
+    non-finite determinant and every other shape decline.
+    """
+    def compute():
+        nonzero = [j for j, k in enumerate(c.dims) if k]
+        if len(nonzero) != 2 or nonzero[1] != nonzero[0] + 1 or \
+                c.dims[nonzero[0]] != c.dims[nonzero[1]]:
+            return None
+        j = nonzero[0]
+        d = c.d(j)
+        # LAPACK directly: info > 0 reports an exact zero pivot without a warning
+        lu, piv, info = lapack.zgetrf(d)
+        if info:
+            return None
+        det = complex(np.prod(np.diagonal(lu)))
+        if np.count_nonzero(piv != np.arange(len(piv))) % 2:
+            det = -det
+        if det == 0 or not np.isfinite(det):
+            return None
+        inv, info = lapack.zgetri(lu, piv)
+        scale = max(np.linalg.norm(d), c._memo.get("derived_scale", 0.0))
+        if info or not 2.0 * np.linalg.norm(inv) * scale * RANK_RTOL * RANK_WARN_BAND < 1.0:
+            return None
+        return j, det
+    return c._cached("lu", compute)
+
+
+def _certified_coordinate(c: GradedComplex, coordinate: complex):
+    """coordinate * det(d_j)^{(-1)^j}, the splitting assembly of a certified
+    two-term complex (_certified_det), or None."""
+    cert = _certified_det(c)
+    if cert is None:
+        return None
+    j, det = cert
+    return coordinate * det ** (1 if j % 2 == 0 else -1)
+
+
 def cohomology(c: GradedComplex, tag: str = "auto") -> Cohomology:
     """dim H^j and explicit representatives spanning a complement of im d_{j-1} in ker d_j.
 
     Per degree, ker d_j and im d_{j-1} are slices of the memoised full SVDs of
     d_j and d_{j-1}, their ranks cut at the complex's scale so that
     numerically-zero differentials do not contribute rank; each SVD is computed
-    on first use only, and canonical_iso and torsion_acyclic reuse it.
+    on first use only, and canonical_iso and torsion_acyclic reuse it.  A
+    two-term complex with a certified square d (_certified_det) is acyclic
+    with no warning, which this returns without an SVD.
     """
     _require_complex(c)
+    if _certified_det(c) is not None:
+        return Cohomology((0,) * len(c.dims),
+                          [np.zeros((k, 0), dtype=np.complex128) for k in c.dims], [], tag)
     dims, reps, warns = [], [], []
     for j in range(len(c.dims)):
         _, vh, rk_out = c._svd(j)
@@ -312,12 +374,17 @@ def torsion_acyclic(c: GradedComplex, complements="auto") -> DetLineElement:
 
     The coordinate is prod_j det([d V_{j-1} | V_j])^{(-1)^{j+1}}, independent of
     the complement choice V_j.  "auto" picks V_j = the row space of d_j (the
-    orthogonal complement of ker d_j); the assembly is canonical_iso's.
+    orthogonal complement of ker d_j); the assembly is canonical_iso's, or
+    det(d_j)^{(-1)^j} from the LU of a certified two-term complex.
     """
     coh = cohomology(c)
     if any(coh.dims):
         raise NotAcyclicError(f"complex is not acyclic: dim H = {coh.dims}")
+    grading = tuple((j, 0) for j in range(len(c.dims)))
     if complements == "auto":
+        coord = _certified_coordinate(c, 1.0 + 0.0j)
+        if coord is not None:
+            return DetLineElement(coord, "scalar", grading)
         v, _ = _row_spaces(c)
     elif len(complements) != len(c.dims):
         raise StructuralError("need one complement block per degree")
@@ -325,7 +392,7 @@ def torsion_acyclic(c: GradedComplex, complements="auto") -> DetLineElement:
         v = [as_cmatrix(b, rows=c.dims[j]) if np.size(b) else
              np.zeros((c.dims[j], 0), complex) for j, b in enumerate(complements)]
     coord = _assemble(c, coh.representatives, v, 1.0 + 0.0j)
-    return DetLineElement(coord, "scalar", tuple((j, 0) for j in range(len(c.dims))))
+    return DetLineElement(coord, "scalar", grading)
 
 
 def _row_spaces(c: GradedComplex) -> tuple[list[np.ndarray], list[int]]:
@@ -348,9 +415,15 @@ def canonical_iso(c: GradedComplex, coh: Cohomology | None = None,
     full SVD of each d_j gives V_j and rank d_j, and the ranks fix the dims
     coh must have.  Those SVDs and the composition defect come from the
     complex's memo, so after cohomology(c) this decomposes nothing.  On
-    acyclic input this equals torsion_acyclic, whose assembly it shares.
+    acyclic input this equals torsion_acyclic, whose assembly it shares, and
+    a certified two-term complex (_certified_det) takes the LU determinant.
     """
     _require_complex(c)
+    if coh is None or coh.dims == (0,) * len(c.dims):
+        coord = _certified_coordinate(c, complex(coordinate))
+        if coord is not None:
+            coh = coh if coh is not None else cohomology(c)
+            return DetLineElement(coord, coh.tag, coh.grading())
     v, ranks = _row_spaces(c)
     if coh is None:
         coh = cohomology(c)

@@ -18,7 +18,9 @@ Every fixed linear map of the samples is a matrix built once per grid and
 kept in a bounded cache: the spline weights at the RK4 stage abscissas
 (_stage_weights, per grid size and steps), at the monodromy midpoints
 (_midpoint_weights, per grid size and substeps) and the banded
-4th-order difference matrix (_deriv_matrix, per grid size and spacing).
+difference matrix (_deriv_matrix, per grid size and spacing): 4th-order
+central rows and 6th-order one-sided rows at the two samples next to
+each edge.
 Each is applied as one real product on the real view of the samples
 (_apply).
 
@@ -68,13 +70,18 @@ _STAGE_BLOCK = 1000
 # spline and difference maps kept per module: one per (grid size, steps or
 # substeps), or per (grid size, spacing) for _deriv_matrix
 _MAPS_CACHED = 16
-# 4th-order first-derivative stencils times 12: central over offsets -2..2,
-# one-sided over the first five samples at edge offsets 0 and 1 (mirrored
-# with the opposite sign at the other end)
+# first-derivative stencils: the 4th-order central one times 12 over offsets
+# -2..2, and per stencil size (divisor, one-sided rows) at edge offsets 0 and 1
+# (mirrored with the opposite sign at the other end): over the first seven
+# samples, 6th order (Fornberg 1988), or over the first five, 4th order, on
+# grids of 5 or 6 samples.  The boundary row of the 5-point stencil has 6
+# times the central error constant, which set the temporal residual.
 _CENTRAL_WEIGHTS = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
 _EDGE_WEIGHTS = {
-    0: np.array([-25.0, 48.0, -36.0, 16.0, -3.0]),
-    1: np.array([-3.0, -10.0, 18.0, -6.0, 1.0]),
+    5: (12.0, {0: np.array([-25.0, 48.0, -36.0, 16.0, -3.0]),
+               1: np.array([-3.0, -10.0, 18.0, -6.0, 1.0])}),
+    7: (60.0, {0: np.array([-147.0, 360.0, -450.0, 400.0, -225.0, 72.0, -10.0]),
+               1: np.array([-10.0, -77.0, 150.0, -100.0, 50.0, -15.0, 2.0])}),
 }
 
 # Higham, "The scaling and squaring method for the matrix exponential
@@ -172,11 +179,11 @@ def _deriv_matrix(n: int, h: float) -> np.ndarray:
         raise StructuralError("need at least 5 samples for 4th-order differences")
     d = np.zeros((n, n))
     for i in range(2, n - 2):
-        d[i, i - 2:i + 3] = _CENTRAL_WEIGHTS
-    for off, w in _EDGE_WEIGHTS.items():
-        d[off, :5] = w
-        d[n - 1 - off, n - 5:] = -w[::-1]
-    d /= 12 * h
+        d[i, i - 2:i + 3] = _CENTRAL_WEIGHTS / (12 * h)
+    div, rows = _EDGE_WEIGHTS[7 if n >= 7 else 5]
+    for off, w in rows.items():
+        d[off, :len(w)] = w / (div * h)
+        d[n - 1 - off, n - len(w):] = -w[::-1] / (div * h)
     d.flags.writeable = False  # kept in a cache
     return d
 
@@ -497,7 +504,7 @@ def solve_gauge_ode(field: GaugeField, steps: int = 4) -> GaugeTransformation:
 
 
 def _deriv4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """4th-order first derivative along axis (central inside, one-sided at edges).
+    """4th-order first derivative along axis (central inside, 6th-order one-sided at edges).
 
     One product with the cached banded matrix _deriv_matrix(n, h).
     """

@@ -5,7 +5,11 @@ singular-value thresholding with a relative tolerance and report a warning
 band.  A matrix is factored once, by one full SVD (``_factor``): its kernel,
 image and row space are slices of it, and its rank is cut at RANK_RTOL times
 the larger of its largest singular value and the scale of the complex it
-comes from (``_rank``, chain.complex_scale).  The spectral
+comes from (``_rank``, chain.complex_scale).  The one exception is the
+square differential of a two-term complex: chain._certified_det takes its
+determinant from one LU and skips the SVD only when the LU's own inverse
+bounds every singular value above RANK_WARN_BAND times that cut, so the
+decision is the one the SVD would make, with no warning.  The spectral
 splitting of a (possibly non-normal) matrix comes from its complex Schur
 form, never from raw eigenvectors.  The form is made once; each cut reorders
 it (``_reorder``) and solves one triangular Sylvester equation, which gives

@@ -352,6 +352,29 @@ def _h0_value(vec: np.ndarray) -> complex:
     return complex(v0)
 
 
+@functools.cache
+def _lesch_transmission() -> tuple[float, complex, complex, complex, complex]:
+    """|Phi(1_A (x) 1_C)| of the two-arc circle's transmission sequence and the
+    class values b0_m, g_m, g_m1, b0_m2 of its auto cohomology bases.
+
+    The cells, the sequence and its long exact sequence do not depend on the
+    arc lengths, so they are made once per process.
+    """
+    k, _ = circle_split_cw(1.0, 1.0)
+    rho = trivial_representation(1, [])
+    les = les_of_ses(transmission_ses_for(k, {"e1"}, {"e2"}, {"v1", "v2"}, rho))
+    one_a = DetLineElement(1.0, les.coh_a.tag, les.coh_a.grading())
+    one_c = DetLineElement(1.0, les.coh_c.tag, les.coh_c.grading())
+    # circle: H^0 basis <-> constant b0_m, H^1 <-> total integral g_m; M1
+    # relative: H^1(M1, N) is an e1 cochain with integral g_m1; M2 absolute:
+    # H^0(M2) is a constant b0_m2 on its vertices
+    return (abs(les.phi(one_a, one_c).coordinate),
+            _h0_value(les.coh_b.representatives[0][:, 0]),
+            complex(np.sum(les.coh_b.representatives[1][:, 0])),
+            complex(np.sum(les.coh_a.representatives[1][:, 0])),
+            _h0_value(les.coh_c.representatives[0][:, 0]))
+
+
 def gluing_check_lesch(l1: float, l2: float,
                        zeta: ZetaEvaluator = DEFAULT_ZETA) -> float:
     """Residual |log(LHS/RHS) - (1/2) chi(N) log 2| for the 1-D gluing formula.
@@ -368,10 +391,7 @@ def gluing_check_lesch(l1: float, l2: float,
     duality gives det' Delta_1 = det' Delta_0 on the circle.
     """
     el = l1 + l2
-    k, geom = circle_split_cw(l1, l2)
-    rho = trivial_representation(1, [])
-    ses = transmission_ses_for(k, {"e1"}, {"e2"}, {"v1", "v2"}, rho)
-    les = les_of_ses(ses)
+    phi, b0_m, g_m, g_m1, b0_m2 = _lesch_transmission()
 
     # analytic torsions
     det_circle = zeta_det_laplacian_circle(CircleModel(el, 1.0 + 0.0j), zeta).real
@@ -381,24 +401,14 @@ def gluing_check_lesch(l1: float, l2: float,
     t_m1 = det_m1.real ** (-0.5)
     t_m2 = det_m2.real ** (-0.5)
 
-    # L^2 norms of the auto cohomology basis classes
-    # circle: H^0 basis <-> constant k: |k| sqrt(L);  H^1 <-> total integral g: |g|/sqrt(L)
-    b0_m = _h0_value(les.coh_b.representatives[0][:, 0])
-    g_m = complex(np.sum(les.coh_b.representatives[1][:, 0]))
+    # L^2 norms of the auto cohomology basis classes: a constant k on the
+    # circle has norm |k| sqrt(L), a 1-class of total integral g has |g| / sqrt(L)
     norm_b0_m = abs(b0_m) * math.sqrt(el)
     norm_b1_m = abs(g_m) / math.sqrt(el)
-    # M1 relative: H^1(M1, N) basis is an e1 cochain with integral g
-    g_m1 = complex(np.sum(les.coh_a.representatives[1][:, 0]))
     norm_a1 = abs(g_m1) / math.sqrt(l1)
-    # M2 absolute: H^0(M2) basis is a constant on (v1, v2, e2)-vertices
-    b0_m2 = _h0_value(les.coh_c.representatives[0][:, 0])
     norm_c0 = abs(b0_m2) * math.sqrt(l2)
 
-    one_a = DetLineElement(1.0, les.coh_a.tag, les.coh_a.grading())
-    one_c = DetLineElement(1.0, les.coh_c.tag, les.coh_c.grading())
-    phi = les.phi(one_a, one_c)
-
-    lhs = t_m * abs(phi.coordinate) * norm_b0_m / norm_b1_m
+    lhs = t_m * phi * norm_b0_m / norm_b1_m
     rhs = (t_m1 / norm_a1) * (t_m2 * norm_c0)
     chi_n = 2
     return float(abs(math.log(lhs / rhs) - 0.5 * chi_n * math.log(2.0)))

@@ -180,15 +180,21 @@ def deriv4_stencil_oracle(values: np.ndarray, h: float, axis: int) -> np.ndarray
     """4th-order first derivative along axis, stencil by stencil.
 
     Central differences (-v[i+2] + 8 v[i+1] - 8 v[i-1] + v[i-2]) / 12h inside,
-    5-point one-sided rows at the first two and last two samples.
+    one-sided rows at the first two and last two samples: 7-point (6th
+    order) from 7 samples on, 5-point (4th order) on 5 or 6 samples.
     """
-    edge = {0: np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0,
-            1: np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0}
     v = np.moveaxis(values, axis, 0)
     n = v.shape[0]
+    if n >= 7:
+        edge = {0: np.array([-147.0, 360.0, -450.0, 400.0, -225.0, 72.0, -10.0]) / 60.0,
+                1: np.array([-10.0, -77.0, 150.0, -100.0, 50.0, -15.0, 2.0]) / 60.0}
+    else:
+        edge = {0: np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0,
+                1: np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0}
     out = np.empty_like(v)
     out[2:-2] = (-v[4:] + 8 * v[3:-1] - 8 * v[1:-3] + v[:-4]) / (12 * h)
-    head, tail = v[:5], v[::-1][:5]
+    k = len(edge[0])
+    head, tail = v[:k], v[::-1][:k]
     for off, w in edge.items():
         out[off] = np.tensordot(w, head, axes=(0, 0)) / h
         out[n - 1 - off] = -np.tensordot(w, tail, axes=(0, 0)) / h

@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import example, given, settings, strategies as st
 
+from torsionkit import chain
 from torsionkit.chain import (DetLineElement, GradedComplex,
                               NotAcyclicError, ShortExactSequenceData,
                               canonical_iso, cohomology, complex_scale, cone, fusion,
                               les_of_ses, torsion_acyclic, verify_complex)
-from torsionkit.linalg import RANK_RTOL, StructuralError
+from torsionkit.cw import CWData, Representation, build_cochain, cochain_slice
+from torsionkit.linalg import RANK_RTOL, RANK_WARN_BAND, StructuralError
 from torsionkit.selftest import (conjugate, coordinate_ses, random_acyclic_complex,
                                  random_complex, random_isos)
 
@@ -257,6 +261,131 @@ def test_memo_slices_match_a_thin_svd(rows, cols, rank_share, log_scale, seed):
         assert sla.norm(p - p_thin, 2) <= 1e-10
     norm2 = sla.norm(d, 2)
     assert abs(complex_scale(c) - norm2) <= 1e-14 * norm2
+
+
+def square_two_term(j, d):
+    """The complex 0 -> C^j -d-> C^{j+1} -> 0 with every lower degree zero."""
+    n = d.shape[0]
+    return GradedComplex((0,) * j + (n, n),
+                         [np.zeros((0, 0), complex)] * max(j - 1, 0)
+                         + [np.zeros((n, 0), complex)] * (j > 0) + [d])
+
+
+def svd_assembly(c):
+    """The splitting assembly of an acyclic complex from its row spaces, no certificate."""
+    return chain._assemble(c, [np.zeros((k, 0), complex) for k in c.dims],
+                           chain._row_spaces(c)[0], 1.0 + 0.0j)
+
+
+def assert_certificate_agrees_with_the_svd(c):
+    """Where the LU certificate is taken, the SVD finds full rank with no warning and
+    the coordinates agree to 1e-12 cond(d) relative; True when it was taken."""
+    cert = chain._certified_det(c)
+    if cert is None:
+        return False
+    j, _ = cert
+    d = c.d(j)
+    assert c._svd(j)[2].rank == d.shape[0] and not c._svd(j)[2].ill_conditioned
+    coh = cohomology(c)
+    assert coh.dims == (0,) * len(c.dims) and coh.warnings == []
+    assert [r.shape for r in coh.representatives] == [(k, 0) for k in c.dims]
+    got, want = canonical_iso(c).coordinate, svd_assembly(c)
+    assert abs(got - want) <= 1e-12 * np.linalg.cond(d) * abs(want)
+    assert torsion_acyclic(c).coordinate == got
+    return True
+
+
+# d = scale U diag(s) V^H with singular values log-uniform over `log_cond`
+# decades: the certificate takes the well-conditioned draws and declines the
+# rest; the bound 1e-12 cond(d) was fixed before the runs
+@settings(max_examples=150, deadline=None)
+@given(j=st.integers(0, 2), n=st.integers(1, 40), log_scale=st.floats(-3.0, 3.0),
+       log_cond=st.floats(0.0, 9.0), seed=st.integers(0, 2**32 - 1))
+@example(j=0, n=40, log_scale=3.0, log_cond=4.0, seed=0)
+@example(j=1, n=1, log_scale=-3.0, log_cond=0.0, seed=1)
+def test_certified_lu_matches_the_svd_assembly(j, n, log_scale, log_cond, seed):
+    rng = np.random.default_rng(seed)
+
+    def frame():
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return q
+
+    sv = 10.0 ** (log_scale - log_cond * rng.uniform(0.0, 1.0, n))
+    d = (frame() * sv) @ frame().conj().T
+    taken = assert_certificate_agrees_with_the_svd(square_two_term(j, d))
+    if log_cond <= 3.0:
+        assert taken
+
+
+def circle(n_cells):
+    """n_cells-vertex circle, the last edge carrying t."""
+    cells = [(f"v{i}", 0) for i in range(n_cells)] + [(f"e{i}", 1) for i in range(n_cells)]
+    boundary = {f"e{i}": [(f"v{(i + 1) % n_cells}", 1, "t" if i == n_cells - 1 else ""),
+                          (f"v{i}", -1, "")] for i in range(n_cells)}
+    return CWData(cells, boundary, ["t"])
+
+
+# square cochain slices of a circle: they keep the circle's scale, which the
+# certificate must read as the SVD path does
+@settings(max_examples=100, deadline=None)
+@given(n_cells=st.integers(1, 10), rank=st.integers(1, 4), log_scale=st.floats(-3.0, 3.0),
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_certified_lu_on_cochain_slices(n_cells, rank, log_scale, data, seed):
+    k = circle(n_cells)
+    g = np.random.default_rng(seed).standard_normal((2, rank, rank))
+    hol = 10.0 ** log_scale * (np.eye(rank) + 0.5 * (g[0] + 1j * g[1]) / np.sqrt(rank))
+    rho = Representation(rank, {"t": hol})
+    full = build_cochain(k, rho)
+    m = data.draw(st.integers(1, n_cells))
+    cells = [data.draw(st.lists(st.integers(0, n_cells - 1), min_size=m, max_size=m,
+                                unique=True)) for _ in range(2)]
+    c = cochain_slice(k, rho, full, {f"v{i}" for i in cells[0]} | {f"e{i}" for i in cells[1]})
+    assert complex_scale(c) == complex_scale(full)
+    assert_certificate_agrees_with_the_svd(c)
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_certificate_near_the_rank_cut(j, monkeypatch):
+    # d = diag(1, ..., 1, eps) with eps swept through the warning window
+    # (RANK_RTOL / RANK_WARN_BAND, RANK_RTOL * RANK_WARN_BAND] around the cut
+    n = 6
+    eps = np.logspace(-10.0, -4.0, 61)
+    diags = [np.diag([1.0] * (n - 1) + [e]).astype(complex) for e in eps]
+    with monkeypatch.context() as m:
+        m.setattr(chain, "_certified_det", lambda c: None)
+        today = []
+        for d in diags:
+            c = square_two_term(j, d)
+            coh = cohomology(c)
+            today.append((coh, canonical_iso(c, coh).coordinate))
+    taken = []
+    for e, d, (coh_svd, coord_svd) in zip(eps, diags, today):
+        c = square_two_term(j, d)
+        if assert_certificate_agrees_with_the_svd(c):
+            taken.append(e)
+            continue
+        coh = cohomology(c)
+        assert (coh.dims, coh.warnings) == (coh_svd.dims, coh_svd.warnings)
+        assert canonical_iso(c, coh).coordinate == coord_svd
+    band = RANK_RTOL * RANK_WARN_BAND
+    assert taken and min(taken) > band and any(band / 100 < e <= band for e in eps)
+    # the bound declines at most a factor 2 sqrt(n) above the window
+    assert min(taken) <= 2 * np.sqrt(n) * band * 10 ** 0.1
+
+
+def test_singular_and_other_shapes_decline_without_a_warning():
+    rng = np.random.default_rng(3)
+    low = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 5))
+    singular = [np.zeros((3, 3)), np.diag([1.0, 0.0, 2.0]), low, np.ones((4, 4))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in singular:
+            c = GradedComplex(d.shape[::-1], [d])
+            assert chain._certified_det(c) is None
+            assert any(cohomology(c).dims)
+        for c in (GradedComplex((2, 3), [np.ones((3, 2))]), four_degree_complex((2, 2, 2), 8),
+                  GradedComplex((2, 0, 2), [np.zeros((0, 2)), np.zeros((2, 0))])):
+            assert chain._certified_det(c) is None
 
 
 def test_det_line_element_tag_discipline():

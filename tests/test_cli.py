@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 import torsionkit.cw as cw_module
 from torsionkit import cli, holomorphy, spectral
@@ -115,13 +116,20 @@ def test_torsion_report_deterministic(tmp_path, capsys):
 
 def test_torsion_command_factors_each_differential_once(tmp_path, monkeypatch):
     # 32-cell circle, rank 4, K' empty: d_0 is 128 x 128.  The full and the
-    # relative complex are one object, so cohomology takes the one SVD of d_0,
-    # canonical_iso none, and the scale is read from that SVD.
+    # relative complex are one object, and its square d_0 is certified
+    # invertible by one LU, so neither cohomology nor canonical_iso takes an SVD.
     n = 32
     hol = 3.0 * np.eye(4) + 0.5 * np.random.default_rng(4).standard_normal((4, 4))
     cw = write(tmp_path, "cw.json", circle_doc(n))
     rep = write(tmp_path, "rep.json", rep_doc({"t": hol}))
     seen = count_lapack(monkeypatch)
+    getrf, lus = lapack.zgetrf, []
+
+    def counting_getrf(a, *args, **kwargs):
+        lus.append(a)
+        return getrf(a, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zgetrf", counting_getrf)
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(["torsion", cw, rep]) == 0
@@ -130,7 +138,8 @@ def test_torsion_command_factors_each_differential_once(tmp_path, monkeypatch):
     assert res["sigma"] == res["sigma_relative"]
     sigma_1 = np.linalg.det(hol - np.eye(4))
     assert abs(abs(complex(*res["sigma"]) / sigma_1) - 1.0) < 1e-9
-    assert len(seen["svd"]) == 1 and seen["numpy_svd"] == 0
+    assert len(seen["svd"]) == 0 and seen["numpy_svd"] == 0
+    assert [a.shape for a in lus] == [(4 * n, 4 * n)]
 
 
 def test_torsion_slices_the_relative_and_boundary_complexes(tmp_path, monkeypatch):

@@ -1,5 +1,5 @@
-"""tools/oracle_census.py: seed parsing, refined and circle margins and the comparison
-of two census files; and a benchmark op that the census once showed failing."""
+"""tools/oracle_census.py: seed parsing, the margins of every op kind and the
+comparison of two census files; and a benchmark op that the census once showed failing."""
 
 import cmath
 import importlib.util
@@ -129,6 +129,35 @@ def test_circle_margin_shift_is_reported(census, tmp_path, capsys):
     assert "('cli-mix', 3, 'deck', 7) circle: report_sha256; det_laplacian 0.006 -> 0.0027" in out
     assert "ops moved: 1; largest margin shift 0.0033 of tolerance " \
            "(det_laplacian, op ('cli-mix', 3, 'deck', 7))" in out
+
+
+def test_torsion_glue_and_holo_margins_are_fractions_of_the_oracle_tolerances(census):
+    sigma_1 = 2.0 - 1.0j
+    sigma = -sigma_1 * (1 + 3e-10)
+    margins = census.torsion_margins(
+        {"sigma_1": sigma_1}, json.dumps({"results": {"sigma": [sigma.real, sigma.imag]}}))
+    assert margins.keys() == {"sigma"} and abs(margins["sigma"] - 0.3) < 1e-4
+    ratios = [[-1.0, 0.0], [-1.0 + 3e-10, 4e-10]]
+    margins = census.glue_margins({}, json.dumps({"results": {"sigma_relation_ratios": ratios}}))
+    assert margins.keys() == {"sigma_relation"} and abs(margins["sigma_relation"] - 0.5) < 1e-4
+    report = {"results": {"sigma": {"residual": 2e-7}, "section_ratio": {"residual": 5e-8}}}
+    margins = census.holo_margins({}, json.dumps(report))
+    assert margins.keys() == {"sigma_cr", "section_ratio_cr"}
+    assert abs(margins["sigma_cr"] - 0.2) < 1e-12
+    assert abs(margins["section_ratio_cr"] - 0.05) < 1e-12
+
+
+def test_torsion_margin_shift_is_reported(census, tmp_path, capsys):
+    def torsion(sigma, report):
+        return {**_row(11, 4, report=report), "workload": "cli-mix", "kind": "torsion",
+                "margins": {"sigma": sigma}}
+    a = _write(tmp_path / "a.jsonl", [torsion(1.4e-6, "aa")])
+    b = _write(tmp_path / "b.jsonl", [torsion(2.0e-6, "bb")])
+    assert census.compare(a, b) == 0
+    out = capsys.readouterr().out
+    assert "('cli-mix', 11, 'deck', 4) torsion: report_sha256; sigma 1.4e-06 -> 2e-06" in out
+    assert "ops moved: 1; largest margin shift 6e-07 of tolerance " \
+           "(sigma, op ('cli-mix', 11, 'deck', 4))" in out
 
 
 def test_cli_mix_seed_302_refined_op_passes_its_oracle(tmp_path, monkeypatch):

@@ -12,7 +12,10 @@ BLAS thread.  Each op gives one line: exit code, sha256 of the report and of
 stderr, the verdict and its margins as fractions of the oracle's tolerance:
 for gauge ops the temporal residual and the monodromy eigenvalue gap, for
 refined ops the Det_gr reconstruction deviation and rho's spread across cuts,
-for circle ops the det' Laplacian and eta deviations from their closed forms.
+for circle ops the det' Laplacian and eta deviations from their closed forms,
+for torsion ops sigma / sigma_1's distance from +-1, for glue ops the sigma
+relation ratios' distance from their common sign, and for holo ops the two
+Cauchy-Riemann residuals.
 
 --compare lists every op whose bytes, verdict or margin moved between two
 such files and prints, per side, the failures and the worst margin; it exits
@@ -90,6 +93,32 @@ def circle_margins(expect: dict, output: str) -> dict:
             "eta": abs(_complex(res["eta"]) - (1 - 2 * a)) / 1e-10}
 
 
+def torsion_margins(expect: dict, output: str) -> dict:
+    """min |sigma / sigma_1 -+ 1| over 1e-9."""
+    ratio = _complex(json.loads(output)["results"]["sigma"]) / expect["sigma_1"]
+    return {"sigma": min(abs(ratio - 1), abs(ratio + 1)) / 1e-9}
+
+
+def glue_margins(expect: dict, output: str) -> dict:
+    """max |ratio - sign| over the sigma relation ratios, sign that of the first, over 1e-9."""
+    ratios = [_complex(v) for v in json.loads(output)["results"]["sigma_relation_ratios"]]
+    sign = 1.0 if ratios[0].real > 0 else -1.0
+    return {"sigma_relation": max(abs(r - sign) for r in ratios) / 1e-9}
+
+
+def holo_margins(expect: dict, output: str) -> dict:
+    """The sigma and section-ratio Cauchy-Riemann residuals over 1e-6."""
+    res = json.loads(output)["results"]
+    return {"sigma_cr": res["sigma"]["residual"] / 1e-6,
+            "section_ratio_cr": res["section_ratio"]["residual"] / 1e-6}
+
+
+# the margins of a CLI op from its expectation and its report, per op kind
+_MARGINS = {"refined": lambda expect, output: refined_margins(output),
+            "circle": circle_margins, "torsion": torsion_margins,
+            "glue": glue_margins, "holo": holo_margins}
+
+
 def census_op(wl, op) -> dict:
     """Run and check one op; an op that raises is recorded with its error, not skipped."""
     try:
@@ -102,11 +131,7 @@ def census_op(wl, op) -> dict:
         report, margins = gauge_bytes(output), gauge_margins(wl, op, output)
     else:
         report = output.encode()
-        margins = {}
-        if op.kind == "refined" and output.strip():
-            margins = refined_margins(output)
-        elif op.kind == "circle" and output.strip():
-            margins = circle_margins(op.expect, output)
+        margins = _MARGINS[op.kind](op.expect, output) if output.strip() else {}
     if code != 0:
         verdict = f"exit {code}: {wl.error_line(output, err)}"
     else:
