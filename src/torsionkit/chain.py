@@ -191,6 +191,50 @@ def verify_complex(c: GradedComplex, tol: float = TOL_COMPLEX) -> bool:
     return c.composition_defect() <= tol
 
 
+def random_isos(rng: np.random.Generator, dims, scale: float = 0.4) -> list[np.ndarray]:
+    """g_j = 1 + scale (X + iY) for each dimension, X and Y standard normal."""
+    return [np.eye(n, dtype=complex)
+            + scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            for n in dims]
+
+
+def conjugate(c: GradedComplex, g) -> GradedComplex:
+    """The complex g_{j+1} d_j g_j^-1 for isomorphisms g_j of c's degrees."""
+    return GradedComplex(c.dims, [g[j + 1] @ c.d(j) @ sla.inv(g[j])
+                                  for j in range(len(c.dims) - 1)])
+
+
+def acyclic_ranks(dims) -> list[int] | None:
+    """The ranks r_j = dims_j - r_{j-1} of an acyclic complex with these dimensions,
+    or None when one is negative, exceeds dims_{j+1}, or the last is not 0."""
+    ranks, prev = [], 0
+    for j, n in enumerate(dims):
+        rk = n - prev
+        if rk < 0 or (j + 1 < len(dims) and rk > dims[j + 1]):
+            return None
+        ranks.append(rk)
+        prev = rk
+    return ranks if ranks[-1] == 0 else None
+
+
+def standard_complex(rng: np.random.Generator, dims, ranks=None):
+    """(complex, ranks): d_j of rank ranks[j] (drawn at random when ranks is None)
+    in standard position, with nonzero entries 1 + U(0.2, 1)."""
+    if ranks is None:
+        ranks, prev = [], 0
+        for j in range(len(dims)):
+            hi = min(dims[j] - prev, dims[j + 1] if j + 1 < len(dims) else 0)
+            ranks.append(int(rng.integers(0, hi + 1)) if hi > 0 else 0)
+            prev = ranks[-1]
+    diffs = []
+    for j in range(len(dims) - 1):
+        d = np.zeros((dims[j + 1], dims[j]), dtype=np.complex128)
+        for i in range(ranks[j]):
+            d[i, dims[j] - ranks[j] + i] = 1.0 + rng.uniform(0.2, 1.0)
+        diffs.append(d)
+    return GradedComplex(tuple(dims), diffs), ranks
+
+
 @dataclass(frozen=True)
 class DetLineElement:
     """A coordinate in a determinant line relative to a declared basis tuple."""

@@ -20,10 +20,11 @@ inner products h.  From it we build:
 
 What depends on the cut lambda but not on the angle theta is computed once
 per cut: the OddSignatureData memoises each cut's SpectralSplit, and the split
-keeps its bases and big eigenvalues, its +/- splitting, the eigenvalues of B+
-and B-, and the small-part element of rho.  Gap and Agmon checks still run on
-every call, and a call that raises stores nothing, so errors repeat exactly.
-The memoised arrays are shared by every caller and read-only.
+holds its bases and big eigenvalues and, as cached properties, its +/-
+splitting, the eigenvalues of B+ and B-, the small complex and that complex's
+cohomology and refined torsion element.  Gap and Agmon checks still run on
+every call, and a property that raises stores nothing, so errors repeat
+exactly.  The memoised arrays are shared by every caller and read-only.
 
 Sign normalization: the refined torsion element carries the extra sign
 (-1)^{(r-1) * dim C^{r-1}} (r = (m+1)/2).  With the Milnor convention of
@@ -34,6 +35,7 @@ the spectral cut; it is fixed here once and validated by the invariance tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -43,8 +45,12 @@ from .chain import (
     Cohomology,
     DetLineElement,
     GradedComplex,
+    acyclic_ranks,
     canonical_iso,
     cohomology,
+    conjugate,
+    random_isos,
+    standard_complex,
     verify_complex,
     _class_coordinates,
 )
@@ -62,6 +68,8 @@ from .linalg import (
 
 ZERO_EIG_RTOL = 1e-10
 RESTRICT_TOL = 1e-8
+# largest relative spread of rho over admissible (lambda, theta) that passes
+INVARIANCE_TOL = 1e-8
 
 
 @dataclass
@@ -192,26 +200,67 @@ class SpectralSplit:
 
     u_small_blocks[k] and u_big_blocks[k] are orthonormal bases (columns) of
     the invariant subspaces of B^2 on C^k for |mu| <= lambda and
-    |mu| > lambda; eig_big_blocks[k] holds the eigenvalues of the latter.  A
-    split belongs to the OddSignatureData that made it.  Its arrays are
-    read-only; the private fields memoise what pm_split, graded_determinant
-    and rho derive from the cut alone.
+    |mu| > lambda; eig_big_blocks[k] holds the eigenvalues of the latter.  x
+    is the complex whose OddSignatureData made the split.  What rho,
+    graded_determinant and eta_xi_finite derive from the cut alone are
+    cached properties: pm, pm_eigs, small and small_element.  A property
+    that raises stores nothing, so the next access raises again.  Arrays
+    are read-only.
     """
 
+    x: ChiralityComplex = field(repr=False, compare=False)
     lam: float
     u_small_blocks: list[np.ndarray]
     u_big_blocks: list[np.ndarray]
     eig_big_blocks: list[np.ndarray]
-    _pm: PMSplit | None = field(default=None, init=False, repr=False, compare=False)
-    # eigenvalues of B+ and of B-
-    _pm_eigs: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    # (small complex, its cohomology, its refined torsion element)
-    _small: tuple[SmallComplex, Cohomology, DetLineElement] | None = field(
-        default=None, init=False, repr=False, compare=False)
     # (full complex, its cohomology, the small element pushed to it)
     _pushed: tuple[GradedComplex, Cohomology, DetLineElement] | None = field(
         default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def pm(self) -> PMSplit:
+        """B on the big part's even degrees split into B+ (+) B-; see pm_split."""
+        m = self.x.m
+        d_big, g_big = _restricted(self.x, self.u_big_blocks, " (big part)")
+        plus, minus = {}, {}
+        for j in range(0, m + 1, 2):
+            dim = self.u_big_blocks[j].shape[1]
+            plus[j] = self.x.complex._image(g_big[m - j] @ d_big[m - j - 1])
+            minus[j] = self.x.complex._image(d_big[j - 1]) if j >= 1 else \
+                np.zeros((dim, 0), complex)
+            if plus[j].shape[1] + minus[j].shape[1] != dim:
+                raise DegeneracyError(
+                    f"+/- splitting does not fill the big part at degree {j}: "
+                    f"{plus[j].shape[1]} + {minus[j].shape[1]} != {dim}"
+                )
+        b_plus = _restrict_even_family(m, d_big, g_big, plus)
+        b_minus = _restrict_even_family(m, d_big, g_big, minus)
+        _read_only([*plus.values(), *minus.values(), b_plus, b_minus])
+        return PMSplit(plus, minus, b_plus, b_minus)
+
+    @cached_property
+    def pm_eigs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues of B+ and of B-."""
+        eigs = tuple(sla.eigvals(b) if b.size else np.zeros(0, complex)
+                     for b in (self.pm.b_plus, self.pm.b_minus))
+        _read_only(eigs)
+        return eigs
+
+    @cached_property
+    def small(self) -> SmallComplex:
+        """The [0, lambda] subcomplex; see small_complex."""
+        x, bases = self.x, self.u_small_blocks
+        dims = tuple(u.shape[1] for u in bases)
+        diffs, gammas = _restricted(x, bases, "")
+        hs = [u.conj().T @ hk @ u for u, hk in zip(bases, x.h)]
+        return SmallComplex(ChiralityComplex(x.complex._derive(dims, diffs), gammas, hs),
+                            bases)
+
+    @cached_property
+    def small_element(self) -> tuple[Cohomology, DetLineElement]:
+        """The small complex's cohomology and its refined torsion element."""
+        coh = cohomology(self.small.x.complex, tag="H(small)")
+        return coh, refined_torsion_element(self.small.x, coh)
 
 
 def _read_only(arrays):
@@ -246,7 +295,7 @@ def spectral_split(s: OddSignatureData, lam: float) -> SpectralSplit:
     us, ub, eigs = map(list, zip(*(spectral_projector(t, z, lambda w: abs(w) <= thr)
                                    for t, z in s.b2_schur)))
     _read_only(us + ub + eigs)
-    split = s._splits[lam] = SpectralSplit(lam, us, ub, eigs)
+    split = s._splits[lam] = SpectralSplit(s.x, lam, us, ub, eigs)
     return split
 
 
@@ -259,20 +308,22 @@ class SmallComplex:
 
 
 def small_complex(s: OddSignatureData, split: SpectralSplit) -> SmallComplex:
-    x = s.x
+    """The [0, lambda] subcomplex of split, which s made; cached on the split."""
+    return split.small
+
+
+def _restricted(x: ChiralityComplex, bases: list[np.ndarray], part: str):
+    """D and Gamma as matrices between the subspaces with orthonormal bases[k].
+
+    part (such as " (big part)") follows D or gamma in the error raised when
+    a map does not preserve the subspaces.
+    """
     m = x.m
-    bases = split.u_small_blocks
-    dims = tuple(u.shape[1] for u in bases)
-    diffs, gammas, hs = [], [], []
-    for k in range(m + 1):
-        if k < m:
-            diffs.append(_restrict(x.complex.d(k), bases[k], bases[k + 1],
-                                   f"D at degree {k}"))
-        gammas.append(_restrict(x.gamma[k], bases[k], bases[m - k],
-                                f"gamma at degree {k}"))
-        hs.append(bases[k].conj().T @ x.h[k] @ bases[k])
-    xc = ChiralityComplex(x.complex._derive(dims, diffs), gammas, hs)
-    return SmallComplex(xc, bases)
+    d = [_restrict(x.complex.d(k), bases[k], bases[k + 1], f"D{part} at degree {k}")
+         for k in range(m)]
+    g = [_restrict(x.gamma[k], bases[k], bases[m - k], f"gamma{part} at degree {k}")
+         for k in range(m + 1)]
+    return d, g
 
 
 def _restrict(a: np.ndarray, src: np.ndarray, tgt: np.ndarray, what: str) -> np.ndarray:
@@ -301,66 +352,16 @@ class PMSplit:
     b_minus: np.ndarray
 
 
-def _big_restriction(s: OddSignatureData, split: SpectralSplit):
-    """D and Gamma as matrices between the big invariant subspaces."""
-    x = s.x
-    m = x.m
-    u = split.u_big_blocks
-    d_big = [
-        _restrict(x.complex.d(k), u[k], u[k + 1], f"D (big part) at degree {k}")
-        for k in range(m)
-    ]
-    g_big = [
-        _restrict(x.gamma[k], u[k], u[m - k], f"gamma (big part) at degree {k}")
-        for k in range(m + 1)
-    ]
-    return d_big, g_big
-
-
 def pm_split(s: OddSignatureData, split: SpectralSplit) -> PMSplit:
     """Split B restricted to the large part and even degrees into B+ (+) B-.
 
     On the invertible part, ker(D Gamma) = im(Gamma D) and
     ker(Gamma D) = im(D); B leaves both invariant.  All computations happen in
     the orthonormal coordinates of the big invariant subspaces.  The result
-    is memoised on the split (s must be the data that made it) and its
-    arrays are read-only.
+    is the split's cached property pm (s must be the data that made it) and
+    its arrays are read-only.
     """
-    if split._pm is None:
-        split._pm = _pm_split(s, split)
-    return split._pm
-
-
-def _pm_split(s: OddSignatureData, split: SpectralSplit) -> PMSplit:
-    x = s.x
-    m = x.m
-    d_big, g_big = _big_restriction(s, split)
-    dims_big = tuple(u.shape[1] for u in split.u_big_blocks)
-    plus, minus = {}, {}
-    for j in range(0, m + 1, 2):
-        plus[j] = x.complex._image(g_big[m - j] @ d_big[m - j - 1])
-        minus[j] = x.complex._image(d_big[j - 1]) if j >= 1 else \
-            np.zeros((dims_big[j], 0), complex)
-        if plus[j].shape[1] + minus[j].shape[1] != dims_big[j]:
-            raise DegeneracyError(
-                f"+/- splitting does not fill the big part at degree {j}: "
-                f"{plus[j].shape[1]} + {minus[j].shape[1]} != {dims_big[j]}"
-            )
-    b_plus = _restrict_even_family(m, d_big, g_big, plus)
-    b_minus = _restrict_even_family(m, d_big, g_big, minus)
-    _read_only([*plus.values(), *minus.values(), b_plus, b_minus])
-    return PMSplit(plus, minus, b_plus, b_minus)
-
-
-def _pm_eigs(s: OddSignatureData, split: SpectralSplit) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of B+ and of B- at the split's cut, memoised on the split."""
-    if split._pm_eigs is None:
-        pm = pm_split(s, split)
-        eigs = tuple(sla.eigvals(b) if b.size else np.zeros(0, complex)
-                     for b in (pm.b_plus, pm.b_minus))
-        _read_only(eigs)
-        split._pm_eigs = eigs
-    return split._pm_eigs
+    return split.pm
 
 
 def _restrict_even_family(m: int, d_big, g_big, bases: dict[int, np.ndarray]) -> np.ndarray:
@@ -388,7 +389,7 @@ def graded_determinant(s: OddSignatureData, lam: float, theta: float) -> complex
     """Det'_theta(B+_even) / Det'_theta(-B-_even) on the (lambda, inf) part."""
     if not (-np.pi < theta < 0):
         raise StructuralError("theta must lie in (-pi, 0)")
-    eig_p, eig_m = _pm_eigs(s, spectral_split(s, lam))
+    eig_p, eig_m = spectral_split(s, lam).pm_eigs
     if (eig_p.size and np.min(np.abs(eig_p)) < 1e-10) or \
        (eig_m.size and np.min(np.abs(eig_m)) < 1e-10):
         raise DegeneracyError("B restricted to the large part is not bijective")
@@ -487,27 +488,19 @@ def rho(x: ChiralityComplex, lam: float, theta: float,
     if coh_full is None:
         coh_full = cohomology(x.complex, tag="H(X)")
     det_gr = graded_determinant(s, lam, theta)
-    return _small_element(s, spectral_split(s, lam), x.complex, coh_full).scale(det_gr)
+    return _small_element(spectral_split(s, lam), x.complex, coh_full).scale(det_gr)
 
 
-def _small_element(s: OddSignatureData, split: SpectralSplit,
-                   full: GradedComplex, coh_full: Cohomology) -> DetLineElement:
-    """rho_{[0,lambda]} pushed to Det H^*(full), memoised on the split.
-
-    The small complex and its element are kept once per split; the pushed
-    element is kept for the last (full, coh_full) pair, matched by identity.
-    """
-    if split._pushed is not None and split._pushed[0] is full \
-            and split._pushed[1] is coh_full:
-        return split._pushed[2]
-    if split._small is None:
-        small = small_complex(s, split)
-        coh_small = cohomology(small.x.complex, tag="H(small)")
-        split._small = small, coh_small, refined_torsion_element(small.x, coh_small)
-    small, coh_small, elt = split._small
-    pushed = _push_to_full(small, coh_small, full, coh_full, elt)
-    split._pushed = full, coh_full, pushed
-    return pushed
+def _small_element(split: SpectralSplit, full: GradedComplex,
+                   coh_full: Cohomology) -> DetLineElement:
+    """rho_{[0,lambda]} pushed to Det H^*(full), kept on the split for the last
+    (full, coh_full) pair, matched by identity."""
+    pushed = split._pushed
+    if pushed is None or pushed[0] is not full or pushed[1] is not coh_full:
+        coh_small, elt = split.small_element
+        pushed = split._pushed = (full, coh_full,
+                                  _push_to_full(split.small, coh_small, full, coh_full, elt))
+    return pushed[2]
 
 
 @dataclass
@@ -546,7 +539,7 @@ def eta_xi_finite(s: OddSignatureData, theta: float, lam: float = 0.0) -> EtaXi:
         sign = -1 if k % 2 else 1
         xi += 0.5 * sign * k * zetap
         xi_prime += 0.5 * sign * k * zeta0
-    eig_even = np.concatenate(_pm_eigs(s, split))
+    eig_even = np.concatenate(split.pm_eigs)
     check_agmon(eig_even, theta)
     check_agmon(eig_even, theta + np.pi)
     mp = mm = 0
@@ -569,40 +562,16 @@ def random_chirality_complex(rng: np.random.Generator, m: int,
     if m % 2 == 0:
         raise StructuralError("m must be odd")
     r = (m + 1) // 2
-    half = [int(rng.integers(1, max_dim + 1)) for _ in range(r)]
-    dims = tuple(half + half[::-1])
-    if acyclic:
+    while True:
+        half = [int(rng.integers(1, max_dim + 1)) for _ in range(r)]
+        dims = tuple(half + half[::-1])
         # alternating-sum zero is automatic for mirrored dims (m odd); the
-        # standard ranks r_j = dims_j - r_{j-1} must stay feasible
-        ranks = []
-        prev = 0
-        for j in range(m + 1):
-            rk = dims[j] - prev
-            if rk < 0 or (j < m and rk > dims[j + 1]):
-                return random_chirality_complex(rng, m, max_dim, acyclic)
-            ranks.append(rk)
-            prev = rk
-        if ranks[-1] != 0:
-            return random_chirality_complex(rng, m, max_dim, acyclic)
-    else:
-        ranks = []
-        prev = 0
-        for j in range(m + 1):
-            hi = min(dims[j] - prev, dims[j + 1] if j < m else 0)
-            rk = int(rng.integers(0, hi + 1)) if hi > 0 else 0
-            ranks.append(rk)
-            prev = rk
-    diffs = []
-    for j in range(m):
-        d = np.zeros((dims[j + 1], dims[j]), dtype=np.complex128)
-        for i in range(ranks[j]):
-            d[i, dims[j] - ranks[j] + i] = 1.0 + rng.uniform(0.2, 1.0)
-        diffs.append(d)
-    g = [np.eye(dims[j], dtype=complex)
-         + 0.35 * (rng.standard_normal((dims[j], dims[j]))
-                   + 1j * rng.standard_normal((dims[j], dims[j])))
-         for j in range(m + 1)]
-    diffs = [g[j + 1] @ diffs[j] @ sla.inv(g[j]) for j in range(m)]
+        # standard ranks must stay feasible
+        ranks = acyclic_ranks(dims) if acyclic else None
+        if not acyclic or ranks is not None:
+            break
+    c, _ = standard_complex(rng, dims, ranks)
+    c = conjugate(c, random_isos(rng, dims, 0.35))
     gammas: list[np.ndarray] = [None] * (m + 1)  # type: ignore[list-item]
     hs: list[np.ndarray] = [None] * (m + 1)  # type: ignore[list-item]
     for k in range(r):
@@ -620,7 +589,7 @@ def random_chirality_complex(rng: np.random.Generator, m: int,
         hs[k] = hk
         gki = sla.inv(gk)
         hs[m - k] = gki.conj().T @ hk @ gki
-    return ChiralityComplex(GradedComplex(dims, diffs), gammas, hs)
+    return ChiralityComplex(c, gammas, hs)
 
 
 def admissible_lambdas(s: OddSignatureData, count: int = 3) -> list[float]:

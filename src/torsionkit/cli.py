@@ -19,10 +19,11 @@ import numpy as np
 
 from . import selftest as selftest_mod
 from .chain import canonical_iso, cohomology, les_of_ses
-from .chirality import admissible_lambdas, eta_xi_finite, graded_determinant, \
-    odd_signature, rho
-from .cw import (build_cochain, check_sigma_relation, cochain_slice, sigma,
-                 transmission_split, trivial_representation, validate_representation)
+from .chirality import INVARIANCE_TOL, admissible_lambdas, eta_xi_finite, \
+    graded_determinant, odd_signature, rho
+from .cw import (SIGMA_RATIO_TOL, TOL_REP, build_cochain, check_sigma_relation,
+                 cochain_slice, sigma, transmission_split, trivial_representation,
+                 validate_representation)
 from .gauge import curvature_residual, gauge_transform, solve_gauge_ode, \
     temporal_residual
 from .holomorphy import cr_order, doubled_cochain, section_ratio_residual, \
@@ -30,9 +31,9 @@ from .holomorphy import cr_order, doubled_cochain, section_ratio_residual, \
 from .linalg import AgmonError, DegeneracyError, SpectralGapError, StructuralError
 from .schemas import (SchemaError, encode_complex, encode_real, load_document,
                       parse_any)
-from .spectral import (CircleModel, ZetaEvaluator, eta_circle, gluing_check_lesch,
-                       graded_det_circle, k_squared_holomorphy, rat_circle,
-                       zeta_det_laplacian_circle, circle_zero_modes)
+from .spectral import (K2_TOL, LESCH_TOL, CircleModel, ZetaEvaluator, eta_circle,
+                       gluing_check_lesch, graded_det_circle, k_squared_holomorphy,
+                       rat_circle, zeta_det_laplacian_circle, circle_zero_modes)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -114,7 +115,7 @@ def cmd_torsion(args) -> int:
         results["boundary_dims"] = list(sub.dims)
     # build_cochain has raised unless res <= tol_rep
     emit_report(args, "torsion", {"cw": dk, "representation": dr}, results,
-                {"tol_rep": 1e-10}, {"pass": True})
+                {"tol_rep": TOL_REP}, {"pass": True})
     return EXIT_OK
 
 
@@ -150,8 +151,8 @@ def cmd_refined(args) -> int:
         "graded_determinant": graded_determinant(s, lams[0], args.theta),
     }
     emit_report(args, "refined", {"chirality": dx}, results,
-                {"invariance_tol": 1e-8}, {"pass": dev < 1e-8})
-    return EXIT_OK if dev < 1e-8 else EXIT_INVARIANT
+                {"invariance_tol": INVARIANCE_TOL}, {"pass": dev < INVARIANCE_TOL})
+    return EXIT_OK if dev < INVARIANCE_TOL else EXIT_INVARIANT
 
 
 def cmd_glue(args) -> int:
@@ -179,7 +180,7 @@ def cmd_glue(args) -> int:
                 "les_torsion": les.torsion,
             }
     # check_sigma_relation raises unless the relation holds
-    emit_report(args, "glue", digests, results, {"ratio_tol": 1e-8}, {"pass": True})
+    emit_report(args, "glue", digests, results, {"ratio_tol": SIGMA_RATIO_TOL}, {"pass": True})
     return EXIT_OK
 
 
@@ -233,9 +234,9 @@ def cmd_circle(args) -> int:
     results["lesch_residual"] = gluing_check_lesch(args.l1, args.l2, zeta)
     results["k_squared_residual"] = k_squared_holomorphy(
         lambda z: 2j + z, 0.0, args.h, zeta)
-    ok = results["lesch_residual"] < 1e-6 and results["k_squared_residual"] < 1e-7
+    ok = results["lesch_residual"] < LESCH_TOL and results["k_squared_residual"] < K2_TOL
     emit_report(args, "circle", digests, results,
-                {"lesch_tol": 1e-6, "k2_tol": 1e-7}, {"pass": ok})
+                {"lesch_tol": LESCH_TOL, "k2_tol": K2_TOL}, {"pass": ok})
     return EXIT_OK if ok else EXIT_INVARIANT
 
 

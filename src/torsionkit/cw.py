@@ -39,6 +39,8 @@ from .chain import (
 from .linalg import StructuralError, as_cmatrix
 
 TOL_REP = 1e-10
+# how far check_sigma_relation's ratios may lie from +-1
+SIGMA_RATIO_TOL = 1e-8
 
 
 @dataclass
@@ -295,8 +297,8 @@ def check_sigma_relation(k: CWData, rho_list):
     """Evaluate nu(sigma' (x) sigma'') / sigma for every representation.
 
     nu is the fusion of the standard chain elements pushed through the
-    canonical isomorphism of C(K); the ratio must be +-1 to 1e-8 and carry
-    the same sign for every representation.  Returns (sign, ratios).
+    canonical isomorphism of C(K); the ratio must be +-1 to SIGMA_RATIO_TOL
+    and carry the same sign for every representation.  Returns (sign, ratios).
     """
     sign = None
     ratios = []
@@ -311,11 +313,12 @@ def check_sigma_relation(k: CWData, rho_list):
         sig = canonical_iso(full, coh)
         r = nu.ratio(sig)
         ratios.append(r)
-        if abs(abs(r) - 1.0) > 1e-8:
+        if abs(abs(r) - 1.0) > SIGMA_RATIO_TOL:
             raise StructuralError(f"sigma relation ratio {r} is not of unit size")
         s = 1 if abs(r - 1) < abs(r + 1) else -1
-        if abs(r - s) > 1e-8:
-            raise StructuralError(f"sigma relation ratio {r} is not +-1 within 1e-08")
+        if abs(r - s) > SIGMA_RATIO_TOL:
+            raise StructuralError(
+                f"sigma relation ratio {r} is not +-1 within {SIGMA_RATIO_TOL:.0e}")
         if sign is None:
             sign = s
         elif sign != s:

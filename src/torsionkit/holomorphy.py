@@ -29,7 +29,6 @@ from .chirality import ChiralityComplex, graded_determinant, odd_signature, \
 from .cw import CWData, Representation, build_cochain, cochain_slice
 from .linalg import DegeneracyError, StructuralError, as_cmatrix
 
-CR_TOL = 1e-6
 CR_FLOOR = 1e-10
 
 

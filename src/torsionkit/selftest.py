@@ -23,20 +23,22 @@ import scipy.linalg as sla
 
 from . import chirality, gauge
 from .chain import (TOL_COMPLEX, Cohomology, DetLineElement, GradedComplex,
-                    ShortExactSequenceData, canonical_iso, cohomology, cone, fusion,
-                    torsion_acyclic)
-from .chirality import (ChiralityComplex, admissible_lambdas, dual_relation_residual,
-                        eta_xi_finite, graded_determinant, odd_signature,
-                        random_chirality_complex, rho, spectral_split)
-from .cw import (CWData, Representation, build_cochain, check_sigma_relation, sigma,
-                 trivial_representation)
+                    ShortExactSequenceData, acyclic_ranks, canonical_iso, cohomology, cone,
+                    conjugate, fusion, random_isos, standard_complex, torsion_acyclic)
+from .chirality import (INVARIANCE_TOL, ChiralityComplex, admissible_lambdas,
+                        dual_relation_residual, eta_xi_finite, graded_determinant,
+                        odd_signature, random_chirality_complex, rho, spectral_split)
+from .cw import (SIGMA_RATIO_TOL, CWData, Representation, build_cochain,
+                 check_sigma_relation, sigma, trivial_representation)
 from .holomorphy import (ComplexFamily, RepresentationCurve, cr_order, cr_residual,
                          doubled_cochain, graded_det_along_curve,
                          projection_derivative_check, section_ratio,
                          section_ratio_residual, zero_section_model)
-from .linalg import DegeneracyError, StructuralError, spectral_projector
-from .spectral import (CircleModel, ZetaEvaluator, eta_circle, gluing_check_lesch,
-                       k_squared_holomorphy, rat_circle, zeta_det_laplacian_circle)
+from .linalg import (AgmonError, DegeneracyError, SpectralGapError, StructuralError,
+                     spectral_projector)
+from .spectral import (K2_TOL, LESCH_TOL, CircleModel, ZetaEvaluator, eta_circle,
+                       gluing_check_lesch, k_squared_holomorphy, rat_circle,
+                       zeta_det_laplacian_circle)
 
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
         "==": operator.eq}
@@ -130,38 +132,10 @@ def torus_cw() -> CWData:
                   generators=["t", "s"], relations=["t s t^-1 s^-1"])
 
 
-def random_isos(rng: np.random.Generator, dims, scale: float = 0.4) -> list[np.ndarray]:
-    """g_j = 1 + scale (X + iY) for each dimension, X and Y standard normal."""
-    return [np.eye(n, dtype=complex)
-            + scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            for n in dims]
-
-
-def conjugate(c: GradedComplex, g) -> GradedComplex:
-    """The complex g_{j+1} d_j g_j^-1 for isomorphisms g_j of c's degrees."""
-    return GradedComplex(c.dims, [g[j + 1] @ c.d(j) @ sla.inv(g[j])
-                                  for j in range(len(c.dims) - 1)])
-
-
 def random_complex(rng: np.random.Generator, dims, ranks=None):
-    """(complex, ranks): differentials of the given ranks, conjugated by random_isos.
-
-    d_j has rank ranks[j] (drawn at random when ranks is None) in standard
-    position, with nonzero entries in [1.2, 2).
-    """
-    if ranks is None:
-        ranks, prev = [], 0
-        for j in range(len(dims)):
-            hi = min(dims[j] - prev, dims[j + 1] if j + 1 < len(dims) else 0)
-            ranks.append(int(rng.integers(0, hi + 1)) if hi > 0 else 0)
-            prev = ranks[-1]
-    diffs = []
-    for j in range(len(dims) - 1):
-        d = np.zeros((dims[j + 1], dims[j]), dtype=np.complex128)
-        for i in range(ranks[j]):
-            d[i, dims[j] - ranks[j] + i] = 1.0 + rng.uniform(0.2, 1.0)
-        diffs.append(d)
-    return conjugate(GradedComplex(tuple(dims), diffs), random_isos(rng, dims)), ranks
+    """(complex, ranks): chain.standard_complex conjugated by random_isos."""
+    c, ranks = standard_complex(rng, dims, ranks)
+    return conjugate(c, random_isos(rng, dims)), ranks
 
 
 def random_acyclic_complex(rng: np.random.Generator, max_len: int = 3,
@@ -170,16 +144,9 @@ def random_acyclic_complex(rng: np.random.Generator, max_len: int = 3,
     while True:
         m = int(rng.integers(1, max_len + 1))
         dims = [int(rng.integers(1, max_dim + 1)) for _ in range(m + 1)]
-        ranks, prev = [], 0
-        for j in range(m + 1):
-            rk = dims[j] - prev
-            if rk < 0 or (j < m and rk > dims[j + 1]):
-                break
-            ranks.append(rk)
-            prev = rk
-        else:
-            if ranks[-1] == 0:
-                return random_complex(rng, dims, ranks)
+        ranks = acyclic_ranks(dims)
+        if ranks is not None:
+            return random_complex(rng, dims, ranks)
 
 
 def coordinate_ses(a, b, c) -> ShortExactSequenceData:
@@ -228,7 +195,7 @@ def seeded_linear_family(rng: np.random.Generator) -> ComplexFamily:
     return ComplexFamily(build)
 
 
-@_criterion("rho_cut_invariance", budget_s=60.0, max_rel_dev=("<", 1e-8))
+@_criterion("rho_cut_invariance", budget_s=60.0, max_rel_dev=("<", INVARIANCE_TOL))
 def _rho_cut_invariance(seed):
     """Criterion 1: rho of 50 random complexes does not depend on lambda or theta."""
     rng = np.random.default_rng(seed)
@@ -244,7 +211,7 @@ def _rho_cut_invariance(seed):
             for th in (-0.8, -2.1):
                 try:
                     vals.append(rho(x, lam, th, coh_full=coh, s=s).coordinate)
-                except DegeneracyError:  # a spectral gap or Agmon ray at this pair
+                except (SpectralGapError, AgmonError):
                     n_skipped += 1
         if len(vals) < 4:
             continue
@@ -280,7 +247,7 @@ def _eta_values(seed):
             f"eta(0.01)={e_small.real:.12f}")
 
 
-@_criterion("lesch_gluing_factor", max_residual=("<", 1e-6))
+@_criterion("lesch_gluing_factor", max_residual=("<", LESCH_TOL))
 def _lesch_gluing_factor(seed):
     """Criterion 4: the Lesch gluing factor for circles cut into l1 + l2."""
     lengths = ((1.0, 1.0), (0.5, 1.5), (2.0, 6.0))
@@ -325,7 +292,7 @@ def _holomorphy_certification(seed):
                "family (h = 1e-3, 1e-4), rho/tau via the cone (h = 2.5e-4)")
 
 
-@_criterion("sigma_sign_relation", max_dev=("<", 1e-8))
+@_criterion("sigma_sign_relation", max_dev=("<", SIGMA_RATIO_TOL))
 def _sigma_sign_relation(seed):
     """Criterion 6: nu(sigma' (x) sigma'') / sigma is one sign per fixture.
 
@@ -361,7 +328,7 @@ def _projection_derivative_structure(seed):
             f"diag {diags[0]:.2e}/{diags[1]:.2e}, offdiag {offs[0]:.2e}/{offs[1]:.2e}")
 
 
-@_criterion("k_squared_holomorphy", residual=("<", 1e-7), residual_coarse=("<", 1e-6),
+@_criterion("k_squared_holomorphy", residual=("<", K2_TOL), residual_coarse=("<", 1e-6),
             order=(">", 1.5))
 def _k_squared_holomorphy(seed):
     """Criterion 8: K^2 is holomorphic: residuals at h = 1e-4 and 1e-3, order from 1e-3/5e-4."""

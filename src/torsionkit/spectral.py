@@ -37,6 +37,9 @@ from .cw import CWData, transmission_ses_for, trivial_representation
 from .linalg import DegeneracyError, StructuralError, check_agmon
 
 TWO_PI = 2.0 * math.pi
+# pass thresholds of gluing_check_lesch and of k_squared_holomorphy at h = 1e-4
+LESCH_TOL = 1e-6
+K2_TOL = 1e-7
 
 # B_2, B_4, ..., B_20
 _BERNOULLI = [

@@ -329,6 +329,23 @@ def test_zero_gap_cut_agrees_with_the_admissible_cuts():
     assert (n_draws, n_agree) == (139, 138)
 
 
+def test_a_cut_whose_property_raises_raises_again():
+    # at the zero-gap cut of census draw 23 the split's pm raises; a cached
+    # property that raises stores nothing, so the next rho raises it again
+    x, s, first = next((x, s, first) for i, x, s, first in census_zero_cluster_draws()
+                       if i == 23)
+    coh = cohomology(x.complex, tag="H(X)")
+    split = spectral_split(s, first / 2)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DegeneracyError) as err:
+            rho(x, first / 2, -0.9, coh_full=coh, s=s)
+        messages.append(str(err.value))
+        assert not {"pm", "pm_eigs"} & vars(split).keys()
+    assert messages == ["B on the +/- splitting, degree 2 -> 0, does not preserve the "
+                        "spectral subspace"] * 2
+
+
 def test_rho_lambda_zero_pure_graded_determinant():
     a = np.diag([2.0, 5.0]).astype(complex)
     x = simple_m1(a, gamma0=np.eye(2, dtype=complex))

@@ -12,7 +12,7 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 
 import torsionkit.cw as cw_module
-from torsionkit import cli, holomorphy, spectral
+from torsionkit import chirality, cli, holomorphy, spectral
 from torsionkit import selftest as selftest_mod
 from torsionkit.chain import GradedComplex, ShortExactSequenceData, canonical_iso
 from torsionkit.chirality import random_chirality_complex
@@ -438,6 +438,26 @@ def test_refined_command_repeats_byte_identically(tmp_path):
             assert main(["refined", chi]) == 0
         outs.append(out.getvalue().encode())
     assert outs[0] == outs[1]
+
+
+def test_refined_command_builds_the_small_side_once_per_cut(tmp_path, monkeypatch):
+    # three cuts with nonempty small and big parts, two angles each: the
+    # second angle at a cut reuses the small complex, its cohomology, its
+    # refined torsion element and the push to Det H^*(X)
+    x = random_chirality_complex(np.random.default_rng(5), 3, 4)
+    chi = write(tmp_path, "chi.json", chirality_doc(x))
+    calls = {name: [] for name in ("SmallComplex", "cohomology", "refined_torsion_element",
+                                   "_push_to_full")}
+    for name in calls:
+        monkeypatch.setattr(chirality, name, lambda *a, _n=name, _f=getattr(chirality, name),
+                            **kw: calls[_n].append(kw.get("tag")) or _f(*a, **kw))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["refined", chi]) == 0
+    sweep = json.loads(out.getvalue())["results"]["sweep"]
+    assert len(sweep) == 6 and all("rho" in entry for entry in sweep)
+    assert calls == {"SmallComplex": [None] * 3, "cohomology": ["H(small)"] * 3,
+                     "refined_torsion_element": [None] * 3, "_push_to_full": [None] * 3}
 
 
 def test_refined_command_on_a_rescaled_complex(tmp_path, capsys):
