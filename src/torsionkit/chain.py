@@ -23,15 +23,20 @@ Conventions (fixed here, used everywhere else):
 * every coordinate is relative to a declared basis_tag; mixing tags raises.
 
 Each GradedComplex factors its differentials once.  Its differentials are
-private read-only copies, and a memo that lives and dies with the complex
-holds the composition defect, at most one full SVD d_j = U S V^H per degree
+private read-only copies, proved finite once by as_cmatrix, and a memo that
+lives and dies with the complex holds the composition defect, at most one
+full SVD d_j = U S V^H per degree with the rank cut of its singular values,
 and at most one LU certificate (below).  Everything else is a slice of an
 SVD: for r = rank d_j, ker d_j is V[:, r:], im d_j is U[:, :r] and the row
 space is V[:, :r].  complex_scale, verify_complex, cohomology,
 canonical_iso, torsion_acyclic and the long exact sequence read that memo,
-so no differential is factored twice.  Slicing is safe: a slice spans the
-same subspace as a thin SVD's vectors and differs from them only by
-rounding, and torsion does not depend on the complement chosen.
+so no differential is factored or cut twice.  Slicing is safe: a slice
+spans the same subspace as a thin SVD's vectors and differs from them only
+by rounding, and torsion does not depend on the complement chosen.  The
+SVDs, least-squares solves and norms are linalg's kernels (one LAPACK
+routine call each, with a cached workspace); a differential reaches the SVD
+routine with no second finiteness pass, and every other matrix a kernel gets
+is checked once.
 
 A two-term complex 0 -> C^j -d-> C^{j+1} -> 0 with d square needs no SVD
 when d is safely invertible: it is acyclic and its torsion is
@@ -70,6 +75,8 @@ from .linalg import (
     _rank,
     as_cmatrix,
     complement_in_kernel,
+    lstsq,
+    norm,
     rank_svd,
 )
 
@@ -128,11 +135,13 @@ class GradedComplex:
         """max_j ||d_{j+1} d_j|| / (1 + max(||d_{j+1}|| ||d_j||, S^2)), computed once; S
         is the scale inherited from a parent (_derive), 0 for a fresh complex."""
         def compute():
-            sq, worst = self._memo.get("derived_scale", 0.0) ** 2, 0.0
+            # a float product, not **: a scale above 1e154 squares to inf
+            scale = self._memo.get("derived_scale", 0.0)
+            sq, worst = scale * scale, 0.0
             for a, b in zip(self.differentials[1:], self.differentials):
                 if a.size and b.size:
-                    den = 1.0 + max(sla.norm(a) * sla.norm(b), sq)
-                    worst = max(worst, sla.norm(a @ b) / den)
+                    den = 1.0 + max(norm(a) * norm(b), sq)
+                    worst = max(worst, norm(a @ b) / den)
             return worst
         return self._cached("defect", compute)
 
@@ -146,13 +155,14 @@ class GradedComplex:
         return self._cached(("svd", j), compute)
 
     def _svd(self, j: int):
-        """(u, vh, RankResult) of d_j from its memoised SVD, cut at this complex's scale."""
+        """(u, vh, RankResult) of d_j from its memoised SVD, cut at this complex's
+        scale; the RankResult is memoised beside the SVD."""
         u, s, vh = self._factored(j)
-        return u, vh, _rank(s, complex_scale(self))
+        return u, vh, self._cached(("rank", j), lambda: _rank(s, complex_scale(self)))
 
     def _image(self, a: np.ndarray) -> np.ndarray:
         """Orthonormal basis of im a, a map made from this complex's data, cut at its scale."""
-        u, s, _ = _factor(a)
+        u, s, _ = _factor(as_cmatrix(a))
         return u[:, :_rank(s, complex_scale(self)).rank]
 
     def _derive(self, dims, differentials) -> "GradedComplex":
@@ -513,11 +523,11 @@ class ShortExactSequenceData:
         for j in range(len(self.b.dims) - 1):
             r1 = self.iota[j + 1] @ self.a.d(j) - self.b.d(j) @ self.iota[j]
             r2 = self.pi[j + 1] @ self.b.d(j) - self.c.d(j) @ self.pi[j]
-            if (r1.size and sla.norm(r1) > tol) or (r2.size and sla.norm(r2) > tol):
+            if (r1.size and norm(r1) > tol) or (r2.size and norm(r2) > tol):
                 raise StructuralError(f"iota/pi are not chain maps at degree {j}")
         for j in range(len(self.b.dims)):
             comp = self.pi[j] @ self.iota[j]
-            if comp.size and sla.norm(comp) > tol:
+            if comp.size and norm(comp) > tol:
                 raise StructuralError(f"pi o iota != 0 at degree {j}")
             ri = rank_svd(self.iota[j]).rank
             rp = rank_svd(self.pi[j]).rank
@@ -571,8 +581,8 @@ def cone(f: list[np.ndarray], src: GradedComplex, tgt: GradedComplex) -> GradedC
          for j, m in enumerate(f)]
     for j in range(ns - 1):
         r = f[j + 1] @ src.d(j) - tgt.d(j) @ f[j]
-        scale = 1.0 + max(sla.norm(f[j]), 1.0) * max(sla.norm(src.d(j)), sla.norm(tgt.d(j)), 1.0)
-        if r.size and sla.norm(r) / scale > TOL_COMPLEX:
+        scale = 1.0 + max(norm(f[j]), 1.0) * max(norm(src.d(j)), norm(tgt.d(j)), 1.0)
+        if r.size and norm(r) / scale > TOL_COMPLEX:
             raise StructuralError(f"f is not a chain map at degree {j}")
     n = max(ns, nt + 1)
     dims = tuple((src.dims[j] if j < ns else 0) + (tgt.dims[j - 1] if 0 <= j - 1 < nt else 0)
@@ -604,9 +614,9 @@ def _class_coordinates(c: GradedComplex, coh: Cohomology, j: int,
     u, _, rk = c._svd(j - 1)
     img = u[:, :rk.rank]
     basis = np.hstack([coh.representatives[j], img]) if img.shape[1] else coh.representatives[j]
-    sol, _, _, _ = sla.lstsq(basis, vectors)
+    sol = lstsq(basis, vectors)
     recon = basis @ sol
-    if sla.norm(recon - vectors) > 1e-8 * max(1.0, sla.norm(vectors)):
+    if norm(recon - vectors) > 1e-8 * max(1.0, norm(vectors)):
         raise DegeneracyError(f"vector is not a cocycle class at degree {j}")
     return sol[: coh.dims[j], :]
 
@@ -669,7 +679,7 @@ def les_of_ses(ses: ShortExactSequenceData,
                 dbl = ses.b.d(j) @ lift
                 apre = sla.pinv(ses.iota[j + 1]) @ dbl
                 back = ses.iota[j + 1] @ apre
-                if sla.norm(back - dbl) > 1e-8 * max(1.0, sla.norm(dbl)):
+                if norm(back - dbl) > 1e-8 * max(1.0, norm(dbl)):
                     raise DegeneracyError(
                         f"connecting map leaves the image of iota at degree {j}"
                     )

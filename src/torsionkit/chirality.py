@@ -61,8 +61,12 @@ from .linalg import (
     StructuralError,
     as_cmatrix,
     check_agmon,
+    eigvals,
+    eigvalsh,
     h_adjoint,
     log_branch,
+    norm,
+    positive_definite,
     spectral_projector,
 )
 
@@ -107,18 +111,18 @@ class ChiralityComplex:
             raise StructuralError("underlying differential does not square to zero")
         for k in range(m + 1):
             gg = self.gamma[m - k] @ self.gamma[k]
-            if gg.size and sla.norm(gg - np.eye(dims[k])) > TOL_COMPLEX * max(1.0, sla.norm(gg)):
+            if gg.size and norm(gg - np.eye(dims[k])) > TOL_COMPLEX * max(1.0, norm(gg)):
                 raise StructuralError(f"gamma is not an involution at degree {k}")
             hk = self.h[k]
             if hk.size:
-                if sla.norm(hk - hk.conj().T) > TOL_COMPLEX * max(1.0, sla.norm(hk)):
+                if norm(hk - hk.conj().T) > TOL_COMPLEX * max(1.0, norm(hk)):
                     raise StructuralError(f"h is not Hermitian at degree {k}")
-                if np.min(sla.eigvalsh(hk)) <= 0:
+                if not positive_definite(hk):
                     raise StructuralError(f"h is not positive definite at degree {k}")
             # self-adjointness of gamma: gamma_k^H h_{m-k} = h_k gamma_{m-k}
             lhs = self.gamma[k].conj().T @ self.h[m - k]
             rhs = self.h[k] @ self.gamma[m - k]
-            if lhs.size and sla.norm(lhs - rhs) > 1e-8 * max(1.0, sla.norm(lhs)):
+            if lhs.size and norm(lhs - rhs) > 1e-8 * max(1.0, norm(lhs)):
                 raise StructuralError(f"gamma is not h-self-adjoint at degree {k}")
 
 
@@ -141,7 +145,7 @@ def dual_relation_residual(x: ChiralityComplex) -> float:
         lhs = x.gamma[k + 1] @ x.complex.d(k)
         rhs = h_adjoint(dp[m - k - 1], x.h[m - k - 1], x.h[m - k]) @ x.gamma[k]
         if lhs.size:
-            worst = max(worst, float(sla.norm(lhs - rhs)) / max(1.0, float(sla.norm(lhs))))
+            worst = max(worst, float(norm(lhs - rhs)) / max(1.0, float(norm(lhs))))
     return worst
 
 
@@ -179,7 +183,10 @@ def odd_signature(x: ChiralityComplex) -> OddSignatureData:
             tgt = m - k + 1
             blk = x.complex.d(m - k) @ x.gamma[k]
             b[space.slice(tgt), space.slice(k)] += blk
-    b2 = b @ b
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        b2 = b @ b
+    if not np.isfinite(b2).all():
+        raise DegeneracyError("B^2 has non-finite entries: (Gamma D + D Gamma)^2 overflows")
     forms = []
     for k in range(m + 1):
         blk = b2[space.slice(k), space.slice(k)]
@@ -189,7 +196,7 @@ def odd_signature(x: ChiralityComplex) -> OddSignatureData:
     off = b2.copy()
     for k in range(m + 1):
         off[space.slice(k), space.slice(k)] = 0.0
-    if off.size and sla.norm(off) > 1e-8 * max(1.0, sla.norm(b2)):
+    if off.size and norm(off) > 1e-8 * max(1.0, norm(b2)):
         raise DegeneracyError("B^2 does not preserve degrees; input data inconsistent")
     return OddSignatureData(x, space, b, forms)
 
@@ -241,7 +248,7 @@ class SpectralSplit:
     @cached_property
     def pm_eigs(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues of B+ and of B-."""
-        eigs = tuple(sla.eigvals(b) if b.size else np.zeros(0, complex)
+        eigs = tuple(eigvals(b) if b.size else np.zeros(0, complex)
                      for b in (self.pm.b_plus, self.pm.b_minus))
         _read_only(eigs)
         return eigs
@@ -333,7 +340,7 @@ def _restrict(a: np.ndarray, src: np.ndarray, tgt: np.ndarray, what: str) -> np.
     img = a @ src
     mat = tgt.conj().T @ img if tgt.shape[1] else np.zeros((0, src.shape[1]), complex)
     recon = tgt @ mat if tgt.shape[1] else np.zeros_like(img)
-    if sla.norm(recon - img) > RESTRICT_TOL * max(1.0, sla.norm(img)):
+    if norm(recon - img) > RESTRICT_TOL * max(1.0, norm(img)):
         raise DegeneracyError(f"{what} does not preserve the spectral subspace")
     return mat
 
@@ -385,11 +392,20 @@ def _restrict_even_family(m: int, d_big, g_big, bases: dict[int, np.ndarray]) ->
     return out
 
 
-def graded_determinant(s: OddSignatureData, lam: float, theta: float) -> complex:
-    """Det'_theta(B+_even) / Det'_theta(-B-_even) on the (lambda, inf) part."""
+def _check_theta(theta: float) -> None:
     if not (-np.pi < theta < 0):
         raise StructuralError("theta must lie in (-pi, 0)")
-    eig_p, eig_m = spectral_split(s, lam).pm_eigs
+
+
+def graded_determinant(s: OddSignatureData, lam: float, theta: float) -> complex:
+    """Det'_theta(B+_even) / Det'_theta(-B-_even) on the (lambda, inf) part."""
+    _check_theta(theta)
+    return _graded_determinant(spectral_split(s, lam), theta)
+
+
+def _graded_determinant(split: SpectralSplit, theta: float) -> complex:
+    """graded_determinant at the split's cut, theta already checked."""
+    eig_p, eig_m = split.pm_eigs
     if (eig_p.size and np.min(np.abs(eig_p)) < 1e-10) or \
        (eig_m.size and np.min(np.abs(eig_m)) < 1e-10):
         raise DegeneracyError("B restricted to the large part is not bijective")
@@ -487,8 +503,10 @@ def rho(x: ChiralityComplex, lam: float, theta: float,
         s = odd_signature(x)
     if coh_full is None:
         coh_full = cohomology(x.complex, tag="H(X)")
-    det_gr = graded_determinant(s, lam, theta)
-    return _small_element(spectral_split(s, lam), x.complex, coh_full).scale(det_gr)
+    _check_theta(theta)
+    split = spectral_split(s, lam)
+    det_gr = _graded_determinant(split, theta)
+    return _small_element(split, x.complex, coh_full).scale(det_gr)
 
 
 def _small_element(split: SpectralSplit, full: GradedComplex,
@@ -527,8 +545,7 @@ def eta_xi_finite(s: OddSignatureData, theta: float, lam: float = 0.0) -> EtaXi:
       eigenvalues with arg in (theta, theta+pi) / (theta+pi, theta+2pi).
     These satisfy Det_gr = exp(xi - i pi xi' - i pi eta).
     """
-    if not (-np.pi < theta < 0):
-        raise StructuralError("theta must lie in (-pi, 0)")
+    _check_theta(theta)
     split = spectral_split(s, lam)
     xi = 0.0 + 0.0j
     xi_prime = 0.0 + 0.0j
@@ -583,7 +600,7 @@ def random_chirality_complex(rng: np.random.Generator, m: int,
         a = rng.standard_normal((dims[k], dims[k])) \
             + 1j * rng.standard_normal((dims[k], dims[k]))
         hk = np.eye(dims[k]) + 0.25 * (a + a.conj().T) / 2 + 0.0j
-        w = sla.eigvalsh(hk)
+        w = eigvalsh(hk)
         if np.min(w) < 0.1:
             hk += (0.1 - np.min(w) + 0.05) * np.eye(dims[k])
         hs[k] = hk

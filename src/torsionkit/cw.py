@@ -36,7 +36,7 @@ from .chain import (
     fusion,
     verify_complex,
 )
-from .linalg import StructuralError, as_cmatrix
+from .linalg import StructuralError, as_cmatrix, norm
 
 TOL_REP = 1e-10
 # how far check_sigma_relation's ratios may lie from +-1
@@ -174,7 +174,7 @@ class Representation:
         if not np.all(np.isfinite(value)):
             raise StructuralError(f"relation {word!r} evaluates to a non-finite matrix; "
                                   f"its residual must be <= {threshold}")
-        return float(sla.norm(value - np.eye(self.rank)))
+        return float(norm(value - np.eye(self.rank)))
 
 
 def trivial_representation(rank: int, generators) -> Representation:

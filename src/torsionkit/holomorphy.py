@@ -27,7 +27,7 @@ from .chain import GradedComplex, cone, torsion_acyclic, verify_complex
 from .chirality import ChiralityComplex, graded_determinant, odd_signature, \
     spectral_split
 from .cw import CWData, Representation, build_cochain, cochain_slice
-from .linalg import DegeneracyError, StructuralError, as_cmatrix
+from .linalg import DegeneracyError, StructuralError, as_cmatrix, norm
 
 CR_FLOOR = 1e-10
 
@@ -234,6 +234,6 @@ def projection_derivative_check(family: ComplexFamily, lam: float, z0: complex,
     off = 0.0
     for p0, dp in ((pp0, (ppp - ppm) / (2 * h)), (pm0, (pmp - pmm) / (2 * h))):
         q0 = np.eye(p0.shape[0]) - p0
-        diag = max(diag, float(sla.norm(p0 @ dp @ p0)), float(sla.norm(q0 @ dp @ q0)))
-        off = max(off, float(sla.norm(p0 @ dp @ q0)), float(sla.norm(q0 @ dp @ p0)))
+        diag = max(diag, float(norm(p0 @ dp @ p0)), float(norm(q0 @ dp @ q0)))
+        off = max(off, float(norm(p0 @ dp @ q0)), float(norm(q0 @ dp @ p0)))
     return diag, off

@@ -7,10 +7,10 @@ document carries a "kind" tag.  See docs/formats.md for the full schemas.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Any
 
 import numpy as np
+import orjson
 
 from .cw import CWData, Representation
 from .gauge import GaugeField, pure_gauge_field
@@ -34,8 +34,8 @@ def load_document(path: str) -> tuple[dict, str]:
         raw = f.read()
     digest = hashlib.sha256(raw).hexdigest()[:16]
     try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        doc = orjson.loads(raw)
+    except orjson.JSONDecodeError as e:  # also invalid UTF-8, NaN and 1e400
         raise SchemaError(f"{path}: not valid JSON ({e})")
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError(f"{path}: document must be an object with a 'kind' tag")

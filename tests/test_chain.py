@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import example, given, settings, strategies as st
 
-from torsionkit import chain
+from torsionkit import chain, linalg
 from torsionkit.chain import (DetLineElement, GradedComplex,
                               NotAcyclicError, ShortExactSequenceData,
                               canonical_iso, cohomology, complex_scale, cone, fusion,
@@ -134,9 +134,18 @@ def four_degree_complex(ranks=(1, 2, 1), seed=5):
 
 
 def count_svds(monkeypatch):
-    """Record the matrices passed to scipy.linalg.svd; count svdvals."""
+    """Record the matrices of every full SVD and count the singular-value-only
+    ones: linalg's zgesdd call (_gesdd), which linalg.svd, _factor and rank_svd
+    share, and scipy.linalg.svd / svdvals, which nothing should reach."""
     seen = {"svd": [], "svdvals": 0}
-    svd, svdvals = sla.svd, sla.svdvals
+    gesdd, svd, svdvals = linalg._gesdd, sla.svd, sla.svdvals
+
+    def counting_gesdd(a, compute_uv):
+        if compute_uv:
+            seen["svd"].append(a)
+        else:
+            seen["svdvals"] += 1
+        return gesdd(a, compute_uv)
 
     def counting_svd(a, *args, **kwargs):
         seen["svd"].append(a)
@@ -146,6 +155,7 @@ def count_svds(monkeypatch):
         seen["svdvals"] += 1
         return svdvals(a, *args, **kwargs)
 
+    monkeypatch.setattr(linalg, "_gesdd", counting_gesdd)
     monkeypatch.setattr(sla, "svd", counting_svd)
     monkeypatch.setattr(sla, "svdvals", counting_svdvals)
     return seen

@@ -15,7 +15,7 @@ import torsionkit.cw as cw_module
 from torsionkit import chirality, cli, holomorphy, spectral
 from torsionkit import selftest as selftest_mod
 from torsionkit.chain import GradedComplex, ShortExactSequenceData, canonical_iso
-from torsionkit.chirality import random_chirality_complex
+from torsionkit.chirality import ChiralityComplex, random_chirality_complex
 from torsionkit.cli import main
 from torsionkit.linalg import SpectralGapError, StructuralError
 from torsionkit.schemas import encode_complex, encode_real
@@ -469,6 +469,32 @@ def test_refined_command_on_a_rescaled_complex(tmp_path, capsys):
     chi = write(tmp_path, "chi.json", chirality_doc(x))
     assert main(["refined", chi]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["max_relative_deviation"] < 1e-8
+
+
+def identity_chirality(d):
+    """dims (2, 2) with differential d and gamma = h = I."""
+    eye = np.eye(2, dtype=complex)
+    return ChiralityComplex(GradedComplex((2, 2), [np.asarray(d, complex)]), [eye, eye],
+                            [eye, eye])
+
+
+@pytest.mark.parametrize("c", [1e154, 1e155, 1e160])
+def test_refined_on_a_nilpotent_differential_of_huge_scale(tmp_path, capsys, c):
+    # B^2 = D^2 = 0 is a legitimate input; each small complex inherits the
+    # scale c, whose square overflows a float from c = 1e155 on
+    chi = write(tmp_path, "chi.json", chirality_doc(identity_chirality([[0.0, c], [0.0, 0.0]])))
+    with np.errstate(over="ignore"):  # the Frobenius norms of D's images overflow to inf
+        assert main(["refined", chi]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["flags"]["pass"] is True and out["results"]["max_relative_deviation"] == 0.0
+
+
+def test_refined_names_an_overflowing_b_squared(tmp_path, capsys):
+    chi = write(tmp_path, "chi.json", chirality_doc(identity_chirality(1e160 * np.ones((2, 2)))))
+    assert main(["refined", chi]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "B^2 has non-finite entries: (Gamma D + D Gamma)^2 overflows",
+                   "exit": 3}
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from torsionkit import linalg
 from torsionkit.linalg import (AgmonError, StructuralError, _factor, _rank, _reorder,
                                as_cmatrix, check_agmon, complement_in_kernel, h_adjoint,
                                log_branch, rank_svd, spectral_projector)
@@ -47,17 +48,19 @@ def test_spaces_take_one_svd_each(monkeypatch):
     a = (rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))) @ \
         (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
     calls = []
-    svd = sla.svd
-    monkeypatch.setattr(sla, "svd", lambda m, **kw: calls.append(kw) or svd(m, **kw))
+    gesdd = linalg._gesdd
+    monkeypatch.setattr(linalg, "_gesdd", lambda m, uv: calls.append(uv) or gesdd(m, uv))
+    monkeypatch.setattr(sla, "svd", None)
     monkeypatch.setattr(sla, "svdvals", None)
     u, s, vh = _factor(a)
     rk = _rank(s, 0.0)
     assert u[:, :rk.rank].shape == (5, 2)
     assert rk.rank == 2 and sla.norm(a @ vh[2:].conj().T) < 1e-12
-    assert calls == [{}]  # one full (default) SVD for both spaces
+    assert calls == [1]  # one full SVD (vectors computed) for both spaces
 
 
 def test_spaces_of_zero_matrix_skip_the_svd(monkeypatch):
+    monkeypatch.setattr(linalg, "_gesdd", None)
     monkeypatch.setattr(sla, "svd", None)
     z = np.zeros((3, 2), complex)
     u, s, vh = _factor(z)
@@ -93,8 +96,8 @@ def test_complement_shortcut_agrees_with_the_svd(monkeypatch, eps, n_img):
             + eps * q[:, 3:] @ rng.standard_normal((3, n_img)))
     img = np.linalg.qr(tilt)[0] if n_img else np.zeros((6, 0), complex)
     svds = []
-    svd = sla.svd
-    monkeypatch.setattr(sla, "svd", lambda a, **kw: svds.append(1) or svd(a, **kw))
+    gesdd = linalg._gesdd
+    monkeypatch.setattr(linalg, "_gesdd", lambda a, uv: svds.append(1) or gesdd(a, uv))
     fast = complement_in_kernel(ker, img)
     shortcut = not svds
     proj = ker - img @ (img.conj().T @ ker)
@@ -248,3 +251,90 @@ def test_check_agmon_raises_on_ray():
     with pytest.raises(AgmonError):
         check_agmon(np.array([np.exp(-0.5j)]), -0.5)
     check_agmon(np.array([np.exp(0.5j)]), -0.5)
+
+
+# the kernels against scipy.linalg, bit for bit: 0 x n, n x 0, 1 x 1, tall, wide
+# and rank-deficient shapes, at scales from 1e-3 to 1e3, with singular values
+# spread over 15 decades so that they straddle lstsq's rcond cut
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 12), cols=st.integers(0, 12), rank=st.integers(0, 12),
+       nrhs=st.integers(1, 3), log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+@example(rows=0, cols=4, rank=0, nrhs=1, log_scale=0.0, seed=0)
+@example(rows=4, cols=0, rank=0, nrhs=2, log_scale=0.0, seed=0)
+@example(rows=1, cols=1, rank=1, nrhs=1, log_scale=0.0, seed=1)
+@example(rows=9, cols=3, rank=2, nrhs=2, log_scale=2.0, seed=2)
+@example(rows=3, cols=9, rank=1, nrhs=3, log_scale=-2.0, seed=3)
+def test_kernels_return_scipys_bits(rows, cols, rank, nrhs, log_scale, seed):
+    rng = np.random.default_rng(seed)
+
+    def cgauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    r = min(rank, rows, cols)
+    a = (cgauss(rows, r) * 10.0 ** (log_scale - rng.uniform(0.0, 15.0, r))) @ cgauss(r, cols)
+    b = cgauss(rows, nrhs)
+
+    def same(x, y):
+        x, y = np.asarray(x), np.asarray(y)
+        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    assert all(map(same, linalg.svd(a), sla.svd(a)))
+    assert same(linalg.lstsq(a, b), sla.lstsq(a, b)[0])
+    assert same(linalg.norm(a), sla.norm(a))
+    n = min(rows, cols)
+    sq = a[:n, :n]
+    assert same(linalg.eigvals(sq), sla.eigvals(sq))
+    herm = sq + sq.conj().T
+    assert same(linalg.eigvalsh(herm), sla.eigvalsh(herm))
+    assert same(rank_svd(a).singular_values, sla.svdvals(a))
+    if rows:
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            linalg.lstsq(a, np.full_like(b, np.nan))
+    if a.size:
+        bad = a.copy()
+        bad.flat[rng.integers(a.size)] = rng.choice([np.nan, np.inf, -np.inf])
+        for kernel in (linalg.svd, linalg.norm, lambda m: linalg.lstsq(m, b)):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                kernel(bad)
+        if n:
+            for kernel in (linalg.eigvals, linalg.eigvalsh):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    kernel(np.full((n, n), np.nan))
+
+
+def test_norm_of_an_overflowing_finite_matrix_is_inf():
+    # a finite sum of squares proves every entry finite; an infinite one does
+    # not, and then the entries decide
+    big = np.full((2, 2), 1e300, dtype=complex)
+    with np.errstate(over="ignore"):
+        assert linalg.norm(big) == np.inf == sla.norm(big)
+
+
+# the Cholesky verdict of ChiralityComplex.validate against the eigvalsh verdict
+# it replaced, on Hermitian h whose smallest eigenvalue is drawn on both sides of 0
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), low=st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-6),
+       seed=st.integers(0, 2**32 - 1))
+def test_cholesky_verdict_matches_eigvalsh(n, low, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    w = np.concatenate([[low], rng.uniform(0.1, 10.0, n - 1)])
+    h = (q * w) @ q.conj().T
+    h = (h + h.conj().T) / 2
+    assert linalg.positive_definite(h) == bool(np.min(sla.eigvalsh(h)) > 0)
+
+
+def test_borderline_positive_definiteness():
+    # smallest eigenvalue +-1e-17 ||h||, below rounding: the verdicts are
+    # whatever the factorisation and the eigen solver meet, pinned as they
+    # stand (on this h the two agree, and follow the sign)
+    q, _ = np.linalg.qr(np.array([[1.0, 2.0j, 0.5], [0.3, 1.0, -1.0j], [2.0, 0.1, 1.0]]))
+    verdicts = []
+    for sign in (1.0, -1.0):
+        h = (q * [sign * 1e-17, 1.0, 1.0]) @ q.conj().T
+        h = (h + h.conj().T) / 2
+        verdicts.append((linalg.positive_definite(h), bool(np.min(sla.eigvalsh(h)) > 0)))
+    # exactly on the boundary both verdicts say "not positive definite"
+    assert linalg.positive_definite(np.diag([1.0, 0.0]).astype(complex)) is False
+    assert linalg.positive_definite(np.diag([1.0, 1e-300]).astype(complex)) is True
+    assert verdicts == [(True, True), (False, False)]
